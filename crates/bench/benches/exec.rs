@@ -1,26 +1,14 @@
-//! Wave-throughput benchmarks for the executor backends at DCO scale:
-//! 60 nodes' worth of slot tasks per wave (1200–4800), threaded vs the
-//! async reactor at worker counts {1, 4, num_cpus}. After the Criterion
+//! Wave-throughput benchmarks for the reactor at DCO scale: 60 nodes'
+//! worth of slot tasks per wave (1200–4800) at worker counts
+//! {1, 4, num_cpus}. After the Criterion
 //! groups run, the full matrix is re-measured and written to
 //! `results/BENCH_exec.json` so the numbers land next to the figure
 //! data (`fig_runner exec --json results` produces the same file).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rcmp_bench::figures::execfig;
-use rcmp_exec::{AsyncExecutor, ThreadedExecutor};
+use rcmp_exec::AsyncExecutor;
 use std::io::Write;
-
-fn bench_threaded(c: &mut Criterion) {
-    let mut g = c.benchmark_group("exec_wave_threaded");
-    g.sample_size(10);
-    for tasks in execfig::task_counts() {
-        let exec = ThreadedExecutor::new();
-        g.bench_with_input(BenchmarkId::from_parameter(tasks), &tasks, |b, &tasks| {
-            b.iter(|| execfig::time_wave(&exec, tasks, 0))
-        });
-    }
-    g.finish();
-}
 
 fn bench_async(c: &mut Criterion) {
     for workers in execfig::worker_counts() {
@@ -36,7 +24,7 @@ fn bench_async(c: &mut Criterion) {
     }
 }
 
-criterion_group!(waves, bench_threaded, bench_async);
+criterion_group!(waves, bench_async);
 
 fn main() {
     waves();

@@ -1,22 +1,19 @@
-//! Pseudo-figure `exec`: wave throughput of the executor backends at
-//! DCO scale (60 nodes, 1200–4800 slot tasks per wave — Fig. 11's
-//! largest cluster). Compares the per-slot-thread backend against the
-//! cooperative async reactor at worker counts {1, 4, num_cpus}; the
-//! async rows show what a single process pays to multiplex thousands of
-//! simulated slots over a bounded OS-thread pool.
+//! Pseudo-figure `exec`: wave throughput of the reactor at DCO scale
+//! (60 nodes, 1200–4800 slot tasks per wave — Fig. 11's largest
+//! cluster) at worker counts {1, 4, num_cpus}: what a single process
+//! pays to multiplex thousands of simulated slots over a bounded
+//! OS-thread pool.
 
 use crate::table;
-use rcmp_exec::{AsyncExecutor, Executor, SlotTask, TaskCtx, ThreadedExecutor, WaveSpec};
+use rcmp_exec::{AsyncExecutor, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::ClusterConfig;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// One (backend, workers, tasks) measurement.
+/// One (workers, tasks) measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExecBenchRow {
-    /// `threaded` or `async`.
-    pub backend: String,
-    /// Worker OS threads (for `threaded`: one per task, reported as 0).
+    /// Reactor worker OS threads.
     pub workers: u32,
     /// Slot tasks in the wave.
     pub tasks: u32,
@@ -37,7 +34,6 @@ pub struct ExecBench {
 impl ExecBench {
     pub fn render(&self) -> String {
         let mut rows = vec![vec![
-            "backend".to_string(),
             "workers".to_string(),
             "tasks".to_string(),
             "wave".to_string(),
@@ -45,12 +41,7 @@ impl ExecBench {
         ]];
         for r in &self.rows {
             rows.push(vec![
-                r.backend.clone(),
-                if r.workers == 0 {
-                    "per-task".to_string()
-                } else {
-                    r.workers.to_string()
-                },
+                r.workers.to_string(),
                 r.tasks.to_string(),
                 format!("{:.1}us", r.wave_micros),
                 format!("{:.0}", r.tasks_per_sec),
@@ -71,7 +62,7 @@ pub fn task_counts() -> [u32; 3] {
     [1200, 2400, 4800]
 }
 
-/// Async worker counts measured: serial, a small fixed pool, and the
+/// Worker counts measured: serial, a small fixed pool, and the
 /// machine's parallelism.
 pub fn worker_counts() -> Vec<u32> {
     let cpus = std::thread::available_parallelism().map_or(4, |n| n.get() as u32);
@@ -99,7 +90,7 @@ fn make_wave<'env>(tasks: u32) -> Vec<SlotTask<'env, u64>> {
 }
 
 /// Times one wave of `tasks` slot tasks on `exec`.
-pub fn time_wave<E: Executor>(exec: &E, tasks: u32, seed: u64) -> Duration {
+pub fn time_wave(exec: &AsyncExecutor, tasks: u32, seed: u64) -> Duration {
     let wave = make_wave(tasks);
     let spec = WaveSpec::new("bench-wave", seed);
     let start = Instant::now();
@@ -109,22 +100,21 @@ pub fn time_wave<E: Executor>(exec: &E, tasks: u32, seed: u64) -> Duration {
     elapsed
 }
 
-fn best_of<E: Executor>(exec: &E, tasks: u32, repeats: u32) -> Duration {
+fn best_of(exec: &AsyncExecutor, tasks: u32, repeats: u32) -> Duration {
     (0..repeats)
         .map(|r| time_wave(exec, tasks, u64::from(r)))
         .min()
         .unwrap_or(Duration::ZERO)
 }
 
-/// Runs the full matrix: threaded, then async at each worker count.
+/// Runs the full matrix: the reactor at each worker count.
 pub fn run() -> ExecBench {
     const REPEATS: u32 = 3;
     let nodes = ClusterConfig::dco().nodes;
     let mut rows = Vec::new();
-    let mut push = |backend: &str, workers: u32, tasks: u32, d: Duration| {
+    let mut push = |workers: u32, tasks: u32, d: Duration| {
         let micros = d.as_secs_f64() * 1e6;
         rows.push(ExecBenchRow {
-            backend: backend.to_string(),
             workers,
             tasks,
             wave_micros: micros,
@@ -136,11 +126,9 @@ pub fn run() -> ExecBench {
         });
     };
     for tasks in task_counts() {
-        let threaded = ThreadedExecutor::new();
-        push("threaded", 0, tasks, best_of(&threaded, tasks, REPEATS));
         for workers in worker_counts() {
             let exec = AsyncExecutor::new(workers);
-            push("async", workers, tasks, best_of(&exec, tasks, REPEATS));
+            push(workers, tasks, best_of(&exec, tasks, REPEATS));
         }
     }
     ExecBench { nodes, rows }
@@ -151,7 +139,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_covers_backends_and_scales() {
+    fn matrix_covers_worker_counts_and_scales() {
         // One repeat at the smallest shape keeps the unit test quick:
         // the full matrix is the bench target's job.
         let exec = AsyncExecutor::new(1);

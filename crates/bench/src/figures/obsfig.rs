@@ -12,7 +12,7 @@
 //! sampled self-measurement (ns per record call, drop accounting,
 //! bytes retained) rides along in the JSON.
 
-use rcmp_exec::{AsyncExecutor, Executor, SlotTask, TaskCtx, WaveSpec};
+use rcmp_exec::{AsyncExecutor, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::ClusterConfig;
 use rcmp_obs::{
     Clock, EventCode, FlightRecorder, MetricsRegistry, PhaseKind, PhaseProfiler, RecorderStats,

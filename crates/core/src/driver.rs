@@ -92,8 +92,8 @@ pub struct ChainDriver<'a> {
     tenant: Option<rcmp_model::TenantId>,
     /// Per-chain wave-executor session override (leased from the job
     /// service's global worker budget). `None` uses the cluster's
-    /// shared backend.
-    executor: Option<Arc<rcmp_exec::BackendExecutor>>,
+    /// shared executor.
+    executor: Option<Arc<rcmp_exec::AsyncExecutor>>,
     /// Pre-resolved adaptation gauges: [`Self::publish_adaptation`]
     /// runs once per completed chain job, potentially with a wave in
     /// flight elsewhere, so it must never resolve by name.
@@ -153,9 +153,9 @@ impl<'a> ChainDriver<'a> {
     }
 
     /// Runs this chain's waves on a dedicated executor session instead
-    /// of the cluster's shared backend (the job service leases one per
+    /// of the cluster's shared executor (the job service leases one per
     /// admitted chain from its global worker budget).
-    pub fn with_executor(mut self, executor: Arc<rcmp_exec::BackendExecutor>) -> Self {
+    pub fn with_executor(mut self, executor: Arc<rcmp_exec::AsyncExecutor>) -> Self {
         self.executor = Some(executor);
         self
     }

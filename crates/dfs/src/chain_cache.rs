@@ -301,7 +301,8 @@ impl ChainCache {
         match hit {
             Some((data, holder)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.read_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
+                self.read_bytes
+                    .fetch_add(data.len() as u64, Ordering::Relaxed);
                 let local = holder == reader;
                 if local {
                     self.hits_local.fetch_add(1, Ordering::Relaxed);

@@ -840,11 +840,9 @@ impl Dfs {
         let covering = {
             let ns = self.namespace.read();
             ns.iter().find_map(|(path, meta)| {
-                meta.partitions.iter().find_map(|p| {
-                    p.blocks()
-                        .any(|b| b.id == id)
-                        .then(|| (path.clone(), p.id))
-                })
+                meta.partitions
+                    .iter()
+                    .find_map(|p| p.blocks().any(|b| b.id == id).then(|| (path.clone(), p.id)))
             })
         };
         if let Some((path, pid)) = covering {

@@ -3,7 +3,7 @@
 use crate::mapstore::MapOutputStore;
 use parking_lot::Mutex;
 use rcmp_dfs::{Dfs, DfsConfig, LossReport, RebalanceReport};
-use rcmp_exec::BackendExecutor;
+use rcmp_exec::AsyncExecutor;
 use rcmp_model::{ClusterConfig, NodeId, Result};
 use rcmp_obs::{
     BlackboxDump, Clock, FlightRecorder, Gauge, MetricsRegistry, PhaseProfiler, SpanKind, Tracer,
@@ -35,7 +35,7 @@ pub struct Cluster {
     live_gauge: Gauge,
     tracer: Arc<Tracer>,
     metrics: Arc<MetricsRegistry>,
-    executor: BackendExecutor,
+    executor: AsyncExecutor,
     recorder: Arc<FlightRecorder>,
     profiler: Arc<PhaseProfiler>,
     blackbox: Mutex<HashMap<String, BlackboxDump>>,
@@ -72,7 +72,7 @@ impl Cluster {
         let metrics = Arc::new(MetricsRegistry::new());
         let recorder = Arc::new(FlightRecorder::with_defaults(clock.clone()));
         let profiler = Arc::new(PhaseProfiler::new(clock));
-        let executor = BackendExecutor::from_config(&cfg.executor)
+        let executor = AsyncExecutor::from_config(&cfg.executor)
             .with_obs(tracer.clone(), &metrics)
             .with_profiler(profiler.clone());
         let dfs_cfg = DfsConfig {
@@ -170,10 +170,9 @@ impl Cluster {
         parked.remove(&key)
     }
 
-    /// The wave-executor backend selected by
-    /// `ClusterConfig::executor` — the tracker runs every map and
-    /// reduce wave through it.
-    pub fn executor(&self) -> &BackendExecutor {
+    /// The wave executor sized by `ClusterConfig::executor` — the
+    /// tracker runs every map and reduce wave through it.
+    pub fn executor(&self) -> &AsyncExecutor {
         &self.executor
     }
 

@@ -37,7 +37,7 @@ use crate::udf::Combiner;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rcmp_dfs::{ChainCache, LossReport, PlacementPolicy};
-use rcmp_exec::{BackendExecutor, SessionExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
+use rcmp_exec::{AsyncExecutor, AsyncSession, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{
     Error, HashPartitioner, JobId, MapTaskId, NodeId, PartitionId, PlacementKernel, Record,
@@ -91,7 +91,7 @@ pub struct JobTracker<'a> {
     /// Per-chain executor session override (the job service leases each
     /// admitted chain its own reactor session from a global worker
     /// budget). `None` runs on the cluster's shared executor.
-    executor: Option<Arc<BackendExecutor>>,
+    executor: Option<Arc<AsyncExecutor>>,
     /// Nodes armed for a torn write: their next partition write commits
     /// only a strict prefix of its chunks and the node dies mid-write.
     torn: Mutex<BTreeSet<NodeId>>,
@@ -166,15 +166,15 @@ impl<'a> JobTracker<'a> {
     }
 
     /// Runs every wave on `executor` instead of the cluster's shared
-    /// backend (per-chain reactor sessions under the job service).
-    pub fn with_executor(mut self, executor: Arc<BackendExecutor>) -> Self {
+    /// executor (per-chain reactor sessions under the job service).
+    pub fn with_executor(mut self, executor: Arc<AsyncExecutor>) -> Self {
         self.executor = Some(executor);
         self
     }
 
-    /// The wave-executor backend this tracker submits to: the per-chain
-    /// override when one was leased, else the cluster's shared backend.
-    fn wave_executor(&self) -> &BackendExecutor {
+    /// The wave executor this tracker submits to: the per-chain
+    /// override when one was leased, else the cluster's shared one.
+    fn wave_executor(&self) -> &AsyncExecutor {
         match &self.executor {
             Some(e) => e,
             None => self.cluster.executor(),
@@ -863,7 +863,7 @@ impl<'a> JobTracker<'a> {
     #[allow(clippy::too_many_arguments)]
     fn execute_map_wave<'env>(
         &'env self,
-        session: &SessionExecutor<'_, 'env>,
+        session: &AsyncSession<'_, 'env>,
         wave: Vec<(NodeId, MapTask)>,
         spec: &'env JobSpec,
         split_plan: &'env Option<(BTreeSet<PartitionId>, u32)>,
@@ -1165,7 +1165,7 @@ impl<'a> JobTracker<'a> {
     #[allow(clippy::too_many_arguments)]
     fn execute_reduce_wave<'env>(
         &'env self,
-        session: &SessionExecutor<'_, 'env>,
+        session: &AsyncSession<'_, 'env>,
         wave: Vec<(NodeId, ReduceTask)>,
         input_keys: &Arc<Vec<MapInputKey>>,
         spec: &'env JobSpec,

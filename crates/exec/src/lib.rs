@@ -1,27 +1,22 @@
-//! `rcmp-exec`: wave-executor backends for the RCMP engine.
+//! `rcmp-exec`: the wave executor of the RCMP engine.
 //!
 //! The engine executes a job as a sequence of *waves*: a batch of slot
 //! tasks assigned by the policy kernel, run concurrently, whose
 //! outcomes are collected in input order before the next wave starts.
-//! This crate captures that contract as the [`Executor`] trait and
-//! implements it twice:
+//! This crate implements that contract with [`AsyncExecutor`]
+//! ([`AsyncExecutor::run_wave`]), a hand-rolled cooperative
+//! reactor: slot tasks become [`TaskFuture`]s, a seeded-deterministic
+//! ready queue feeds a bounded pool of worker threads, and a wake/park
+//! condvar keeps idle workers cheap. A job session
+//! ([`AsyncExecutor::with_session`]) keeps one pool alive across all of
+//! its waves, so thousands of simulated slots run in one process with
+//! at most `workers` OS threads and no per-wave thread spawns.
 //!
-//! * [`ThreadedExecutor`] — one OS thread per occupied slot per wave
-//!   (Hadoop 1.0.3's process-per-slot model, and the engine's original
-//!   behaviour, extracted verbatim).
-//! * [`AsyncExecutor`] — a hand-rolled cooperative reactor: slot tasks
-//!   become [`TaskFuture`]s, a seeded-deterministic ready queue feeds a
-//!   bounded pool of worker threads, and a wake/park condvar keeps idle
-//!   workers cheap. Thousands of simulated slots run in one process
-//!   with at most `workers` OS threads.
-//!
-//! Backend choice is configuration (`ExecutorConfig` on
-//! `ClusterConfig`), threaded through [`BackendExecutor`] so the
-//! engine, the chaos harness and the figure runner never name a
-//! concrete backend. Under a fixed seed both backends produce identical
-//! schedules and outcome vectors — assignment happens before execution
-//! and outcomes are input-ordered — so recovery event logs and golden
-//! chain digests agree across backends.
+//! Sizing is configuration (`ExecutorConfig` on `ClusterConfig`). The
+//! worker count is unobservable above the executor: assignment happens
+//! before execution, outcomes are input-ordered and seeds are per wave,
+//! so recovery event logs and golden chain digests agree at every
+//! worker count.
 
 #![deny(missing_docs)]
 
@@ -30,18 +25,22 @@ mod future;
 mod metrics;
 mod reactor;
 mod task;
-mod threaded;
 
 pub use budget::{WorkerBudget, WorkerLease};
 pub use future::TaskFuture;
 pub use metrics::ExecMetrics;
 pub use reactor::{AsyncExecutor, AsyncSession};
 pub use task::{CancelToken, SlotOutcome, SlotTask, TaskCtx};
-pub use threaded::ThreadedExecutor;
 
-use rcmp_model::{ExecutorConfig, ExecutorKind};
-use rcmp_obs::{MetricsRegistry, SpanId, Tracer};
-use std::sync::Arc;
+use rcmp_obs::SpanId;
+
+/// The executor a cluster builds from its `ExecutorConfig`; the
+/// reactor is the only backend, and this name stays for its callers.
+pub type BackendExecutor = AsyncExecutor;
+
+/// A job-scoped handle onto the reactor's worker pool, obtained from
+/// [`AsyncExecutor::with_session`]; the name stays for its callers.
+pub type SessionExecutor<'s, 'env> = AsyncSession<'s, 'env>;
 
 /// Identity and instrumentation for one wave submission.
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +50,7 @@ pub struct WaveSpec {
     /// Seed for the reactor's initial ready-queue order. Derive it from
     /// the cluster seed and the wave index so replays are bit-identical.
     pub seed: u64,
-    /// Span to parent the backend's `ExecutorWave` span under.
+    /// Span to parent the reactor's `ExecutorWave` span under.
     pub parent: Option<SpanId>,
 }
 
@@ -65,176 +64,28 @@ impl WaveSpec {
         }
     }
 
-    /// Parents the backend's instrumentation span under `parent`.
+    /// Parents the reactor's instrumentation span under `parent`.
     pub fn with_parent(mut self, parent: SpanId) -> Self {
         self.parent = Some(parent);
         self
     }
 }
 
-/// The wave contract: run every slot task of one wave, honour the
-/// wave's cancel token, and return one [`SlotOutcome`] per task *in
-/// input order*.
-///
-/// Implementations must run each task body at most once, must not let a
-/// task panic escape (contain it as [`SlotOutcome::Abandoned`]), and
-/// must return only once every task has resolved — the engine processes
-/// a wave's outcomes as a unit before consulting the failure injector
-/// again.
-pub trait Executor {
-    /// Executes one wave.
-    fn run_wave<'env, T: Send + 'env>(
-        &self,
-        spec: &WaveSpec,
-        tasks: Vec<SlotTask<'env, T>>,
-    ) -> Vec<SlotOutcome<T>>;
-}
-
-/// Configuration-selected backend, so callers hold one concrete type.
-pub enum BackendExecutor {
-    /// Per-slot OS threads.
-    Threaded(ThreadedExecutor),
-    /// Cooperative reactor.
-    Async(AsyncExecutor),
-}
-
-impl BackendExecutor {
-    /// Builds the backend named by `cfg` (uninstrumented).
-    pub fn from_config(cfg: &ExecutorConfig) -> Self {
-        match cfg.backend {
-            ExecutorKind::Threaded => BackendExecutor::Threaded(ThreadedExecutor::new()),
-            ExecutorKind::Async => BackendExecutor::Async(AsyncExecutor::new(cfg.workers)),
-        }
-    }
-
-    /// Attaches observability (a no-op for the threaded backend, which
-    /// stays byte-identical to the pre-executor engine).
-    pub fn with_obs(self, tracer: Arc<Tracer>, registry: &MetricsRegistry) -> Self {
-        match self {
-            BackendExecutor::Threaded(t) => BackendExecutor::Threaded(t),
-            BackendExecutor::Async(a) => BackendExecutor::Async(a.with_obs(tracer, registry)),
-        }
-    }
-
-    /// Attaches a phase profiler for reactor poll/park attribution (a
-    /// no-op for the threaded backend, which has no reactor).
-    pub fn with_profiler(self, profiler: Arc<rcmp_obs::PhaseProfiler>) -> Self {
-        match self {
-            BackendExecutor::Threaded(t) => BackendExecutor::Threaded(t),
-            BackendExecutor::Async(a) => BackendExecutor::Async(a.with_profiler(profiler)),
-        }
-    }
-
-    /// Stable backend name (`"threaded"` / `"async"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendExecutor::Threaded(_) => "threaded",
-            BackendExecutor::Async(_) => "async",
-        }
-    }
-
-    /// Runs `f` with a job-scoped [`SessionExecutor`].
-    ///
-    /// For the async backend this spawns the reactor's worker pool once
-    /// and serves every wave submitted through the session with it —
-    /// a multi-wave job no longer rebuilds its thread pool at every
-    /// wave boundary. The threaded backend is stateless (one OS thread
-    /// per occupied slot per wave is its *semantics*), so its session
-    /// is a plain pass-through.
-    pub fn with_session<'env, R>(&'env self, f: impl FnOnce(&SessionExecutor<'_, 'env>) -> R) -> R {
-        match self {
-            BackendExecutor::Threaded(t) => f(&SessionExecutor::Threaded(*t)),
-            BackendExecutor::Async(a) => a.with_session(|s| f(&SessionExecutor::Async(s))),
-        }
-    }
-}
-
-/// A backend handle scoped to one job, obtained from
-/// [`BackendExecutor::with_session`]: the async reactor keeps one
-/// worker pool alive across every wave submitted through it, while the
-/// threaded backend passes straight through to its per-wave threads.
-///
-/// `'s` is the session scope, `'env` the environment slot tasks may
-/// borrow from. This cannot implement [`Executor`] — the trait
-/// quantifies `'env` per call, but a session fixes it for its whole
-/// lifetime — so it exposes the same `run_wave` shape inherently.
-pub enum SessionExecutor<'s, 'env> {
-    /// Stateless pass-through to the per-slot-thread backend.
-    Threaded(ThreadedExecutor),
-    /// Handle onto a live reactor session (shared worker pool).
-    Async(&'s AsyncSession<'s, 'env>),
-}
-
-impl<'env> SessionExecutor<'_, 'env> {
-    /// Executes one wave through the session. Same contract as
-    /// [`Executor::run_wave`]: outcomes in input order, panics
-    /// contained as [`SlotOutcome::Abandoned`], returns only once every
-    /// task has resolved.
-    pub fn run_wave<T: Send + 'env>(
-        &self,
-        spec: &WaveSpec,
-        tasks: Vec<SlotTask<'env, T>>,
-    ) -> Vec<SlotOutcome<T>> {
-        match self {
-            SessionExecutor::Threaded(t) => t.run_wave(spec, tasks),
-            SessionExecutor::Async(s) => s.run_wave(spec, tasks),
-        }
-    }
-}
-
-impl Executor for BackendExecutor {
-    fn run_wave<'env, T: Send + 'env>(
-        &self,
-        spec: &WaveSpec,
-        tasks: Vec<SlotTask<'env, T>>,
-    ) -> Vec<SlotOutcome<T>> {
-        match self {
-            BackendExecutor::Threaded(t) => t.run_wave(spec, tasks),
-            BackendExecutor::Async(a) => a.run_wave(spec, tasks),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcmp_model::ExecutorConfig;
 
     #[test]
-    fn backend_from_config() {
-        let t = BackendExecutor::from_config(&ExecutorConfig::default());
-        assert_eq!(t.name(), "threaded");
+    fn from_config_sizes_the_pool() {
         let a = BackendExecutor::from_config(&ExecutorConfig::async_workers(3));
-        assert_eq!(a.name(), "async");
-        match a {
-            BackendExecutor::Async(a) => assert_eq!(a.workers(), 3),
-            BackendExecutor::Threaded(_) => panic!("expected async"),
-        }
+        assert_eq!(a.workers(), 3);
+        let auto = BackendExecutor::from_config(&ExecutorConfig::default());
+        assert!(auto.workers() >= 1);
     }
 
     #[test]
-    fn backends_agree_on_outcomes() {
-        let mk = || {
-            (0..200)
-                .map(|i| SlotTask::new(move |_: &TaskCtx| i * 3))
-                .collect::<Vec<SlotTask<'_, usize>>>()
-        };
-        let spec = WaveSpec::new("agree", 42);
-        let threaded: Vec<Option<usize>> = BackendExecutor::from_config(&ExecutorConfig::default())
-            .run_wave(&spec, mk())
-            .into_iter()
-            .map(SlotOutcome::completed)
-            .collect();
-        let asynced: Vec<Option<usize>> =
-            BackendExecutor::from_config(&ExecutorConfig::async_workers(4))
-                .run_wave(&spec, mk())
-                .into_iter()
-                .map(SlotOutcome::completed)
-                .collect();
-        assert_eq!(threaded, asynced);
-    }
-
-    #[test]
-    fn sessions_agree_across_backends() {
+    fn sessions_agree_across_worker_counts() {
         let run = |cfg: &ExecutorConfig| {
             let exec = BackendExecutor::from_config(cfg);
             exec.with_session(|session| {
@@ -252,10 +103,9 @@ mod tests {
                     .collect::<Vec<_>>()
             })
         };
-        let threaded = run(&ExecutorConfig::default());
-        let async1 = run(&ExecutorConfig::async_workers(1));
-        let async4 = run(&ExecutorConfig::async_workers(4));
-        assert_eq!(threaded, async1);
-        assert_eq!(threaded, async4);
+        let auto = run(&ExecutorConfig::default());
+        for workers in [1, 4, 10] {
+            assert_eq!(auto, run(&ExecutorConfig::async_workers(workers)));
+        }
     }
 }

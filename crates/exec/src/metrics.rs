@@ -5,9 +5,7 @@ use rcmp_obs::{Counter, Gauge, MetricsRegistry};
 /// Executor health metrics, resolved once against a registry so wave
 /// execution never takes the registry lock.
 ///
-/// All handles live under the `exec.` prefix; the async reactor updates
-/// them, while the threaded backend — kept byte-identical to the
-/// pre-executor code — records nothing.
+/// All handles live under the `exec.` prefix; the reactor updates them.
 #[derive(Clone)]
 pub struct ExecMetrics {
     /// Instantaneous ready-queue depth (last observed).

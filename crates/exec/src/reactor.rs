@@ -11,14 +11,14 @@
 //!
 //! The queue seed makes the *initial* service order a pure function of
 //! `(seed, label)`; with one worker the whole execution order is. With
-//! more workers the interleaving is OS-scheduled, exactly like the
-//! threaded backend — which is why schedules and digests agree across
-//! backends (wave outcomes are collected in input order either way).
+//! more workers the interleaving is OS-scheduled, which is why wave
+//! outcomes are collected in input order: schedules and digests agree
+//! at every worker count.
 
 use crate::future::TaskFuture;
 use crate::metrics::ExecMetrics;
 use crate::task::{CancelToken, SlotOutcome, SlotTask, TaskCtx};
-use crate::{Executor, WaveSpec};
+use crate::WaveSpec;
 use rand::seq::SliceRandom;
 use rcmp_model::rng::rng_for;
 use rcmp_obs::{MetricsRegistry, PhaseKind, PhaseProfiler, SpanKind, Tracer};
@@ -295,7 +295,7 @@ pub struct AsyncSession<'s, 'env> {
 
 impl<'env> AsyncSession<'_, 'env> {
     /// Executes one wave on the session's shared worker pool. Same
-    /// contract as [`Executor::run_wave`]: outcomes in input order,
+    /// contract as [`AsyncExecutor::run_wave`]: outcomes in input order,
     /// panics contained, returns only once every task has resolved.
     pub fn run_wave<T: Send + 'env>(
         &self,
@@ -408,6 +408,11 @@ pub struct AsyncExecutor {
 }
 
 impl AsyncExecutor {
+    /// Builds the reactor `cfg` sizes (uninstrumented).
+    pub fn from_config(cfg: &rcmp_model::ExecutorConfig) -> Self {
+        Self::new(cfg.workers)
+    }
+
     /// Creates a reactor with `workers` OS threads; `0` auto-sizes to
     /// the machine's available parallelism.
     pub fn new(workers: u32) -> Self {
@@ -512,10 +517,14 @@ impl AsyncExecutor {
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
-}
 
-impl Executor for AsyncExecutor {
-    fn run_wave<'env, T: Send + 'env>(
+    /// Executes one wave on a pool spawned for it alone — the wave
+    /// contract: run every task body at most once, honour the wave's
+    /// cancel token, contain task panics as [`SlotOutcome::Abandoned`],
+    /// and return one [`SlotOutcome`] per task *in input order*, only
+    /// once every task has resolved (the engine processes a wave's
+    /// outcomes as a unit before consulting the failure injector again).
+    pub fn run_wave<'env, T: Send + 'env>(
         &self,
         spec: &WaveSpec,
         tasks: Vec<SlotTask<'env, T>>,

@@ -31,35 +31,28 @@ impl Default for SlotConfig {
     }
 }
 
-/// Which wave-executor backend runs a job's slot tasks.
+/// Names the engine's one wave executor: a persistent reactor pool.
 ///
-/// Both backends execute the *same* schedules — wave assignment is
-/// decided by the shared policy kernel before any task starts — so the
-/// choice trades OS resources against fidelity to Hadoop's
-/// process-per-slot model, not correctness.
+/// It carries no choice. [`ExecutorConfig::backend`] keeps it so code
+/// that prints the executor configuration still names the backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutorKind {
-    /// One OS thread per occupied slot per wave (Hadoop 1.0.3's
-    /// TaskTracker model, and this repo's original behaviour).
-    #[default]
-    Threaded,
-    /// A hand-rolled cooperative reactor: a bounded worker pool
-    /// multiplexes every logical slot task of the wave, so thousands of
-    /// simulated slots fit in one process with at most
-    /// [`ExecutorConfig::workers`] OS threads.
-    Async,
-}
+pub struct ReactorPool;
 
-/// Wave-executor backend selection, threaded through [`ClusterConfig`]
-/// so the engine, the chaos harness and the figure runner all pick a
-/// backend in one place.
+/// Wave-executor configuration, threaded through [`ClusterConfig`] so
+/// the engine, the chaos harness and the figure runner all size the
+/// executor in one place.
+///
+/// Every wave runs on one cooperative reactor whose worker pool lives
+/// for the whole job session. Wave assignment is decided by the shared
+/// policy kernel before any task starts and outcomes are collected in
+/// input order, so the worker count trades OS threads for parallelism,
+/// never correctness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
-    /// Backend to execute waves with.
-    pub backend: ExecutorKind,
-    /// Worker OS threads for [`ExecutorKind::Async`]; `0` means
-    /// auto-size to the machine's available parallelism. Ignored by
-    /// [`ExecutorKind::Threaded`].
+    /// The backend's name (there is only one).
+    pub backend: ReactorPool,
+    /// Worker OS threads; `0` (the default) sizes the pool to the
+    /// machine's available parallelism.
     pub workers: u32,
     /// Cooperatively cancel the rest of a wave once one of its tasks
     /// hits a fatal (node-death-shaped) failure, so a poisoned wave
@@ -74,29 +67,17 @@ pub struct ExecutorConfig {
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        Self {
-            backend: ExecutorKind::Threaded,
-            workers: 0,
-            cancel_on_fatal: false,
-        }
+        Self::async_workers(0)
     }
 }
 
 impl ExecutorConfig {
-    /// The async backend with auto-sized workers.
-    pub fn async_auto() -> Self {
-        Self {
-            backend: ExecutorKind::Async,
-            ..Self::default()
-        }
-    }
-
-    /// The async backend with a fixed worker count.
+    /// The reactor with a fixed worker count (`0` = auto-size).
     pub fn async_workers(workers: u32) -> Self {
         Self {
-            backend: ExecutorKind::Async,
+            backend: ReactorPool,
             workers,
-            ..Self::default()
+            cancel_on_fatal: false,
         }
     }
 
@@ -106,10 +87,10 @@ impl ExecutorConfig {
         self
     }
 
-    /// Backend override from the `RCMP_EXECUTOR` environment variable
-    /// (`threaded`, `async`, or `async:<workers>`), falling back to the
+    /// Worker-count override from the `RCMP_EXECUTOR` environment
+    /// variable (`async` or `async:<workers>`), falling back to the
     /// default when unset or unparseable. Lets whole test binaries be
-    /// re-run under the other backend (the CI executor matrix) without
+    /// re-run at another worker count (the CI executor matrix) without
     /// touching each construction site.
     pub fn from_env_or_default() -> Self {
         match std::env::var("RCMP_EXECUTOR") {
@@ -118,14 +99,11 @@ impl ExecutorConfig {
         }
     }
 
-    /// Parses a backend spec (`threaded` | `async` | `async:<workers>`).
+    /// Parses an executor spec (`async` | `async:<workers>`).
     pub fn parse(spec: &str) -> Option<Self> {
         let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("threaded") {
-            return Some(Self::default());
-        }
         if spec.eq_ignore_ascii_case("async") {
-            return Some(Self::async_auto());
+            return Some(Self::default());
         }
         let rest = spec
             .strip_prefix("async:")
@@ -489,7 +467,7 @@ pub struct ClusterConfig {
     /// so a permanently-failing scenario ends in a typed error instead
     /// of a livelock.
     pub max_recovery_attempts: u32,
-    /// Which wave-executor backend the engine runs slot tasks on.
+    /// How the engine's wave executor is sized.
     #[serde(default)]
     pub executor: ExecutorConfig,
     /// Shuffle data-path tuning (streaming merge, fan-in, store shards).
@@ -637,31 +615,27 @@ mod tests {
     #[test]
     fn executor_spec_parsing() {
         assert_eq!(
-            ExecutorConfig::parse("threaded"),
-            Some(ExecutorConfig::default())
-        );
-        assert_eq!(
             ExecutorConfig::parse("async"),
-            Some(ExecutorConfig::async_auto())
+            Some(ExecutorConfig::default())
         );
         assert_eq!(
             ExecutorConfig::parse("async:4"),
             Some(ExecutorConfig::async_workers(4))
         );
         assert_eq!(ExecutorConfig::parse("async:lots"), None);
+        assert_eq!(ExecutorConfig::parse("threaded"), None);
         assert_eq!(ExecutorConfig::parse("fibers"), None);
     }
 
     #[test]
-    fn executor_defaults_to_threaded() {
+    fn executor_defaults_to_auto_sized_pool() {
         let cfg = ClusterConfig::small_test(4);
-        assert_eq!(cfg.executor.backend, ExecutorKind::Threaded);
         assert_eq!(cfg.executor.workers, 0);
         assert!(!cfg.executor.cancel_on_fatal);
         assert_eq!(
             ExecutorConfig::async_workers(8).with_cancel_on_fatal(),
             ExecutorConfig {
-                backend: ExecutorKind::Async,
+                backend: ReactorPool,
                 workers: 8,
                 cancel_on_fatal: true,
             }
@@ -751,8 +725,12 @@ mod tests {
     fn chain_cache_validation() {
         assert!(ChainCacheConfig::default().validate().is_ok());
         assert!(!ChainCacheConfig::default().enabled);
-        assert!(ChainCacheConfig::enabled(ByteSize::mib(8)).validate().is_ok());
-        assert!(ChainCacheConfig::enabled(ByteSize::ZERO).validate().is_err());
+        assert!(ChainCacheConfig::enabled(ByteSize::mib(8))
+            .validate()
+            .is_ok());
+        assert!(ChainCacheConfig::enabled(ByteSize::ZERO)
+            .validate()
+            .is_err());
         let mut c = ClusterConfig::small_test(4);
         c.chain_cache = ChainCacheConfig::enabled(ByteSize::ZERO);
         assert!(c.validate().is_err());

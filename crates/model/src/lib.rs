@@ -23,7 +23,7 @@ pub mod rng;
 pub mod units;
 
 pub use config::{
-    ChainCacheConfig, ClusterConfig, ExecutorConfig, ExecutorKind, PlacementKernel, RetryPolicy,
+    ChainCacheConfig, ClusterConfig, ExecutorConfig, PlacementKernel, ReactorPool, RetryPolicy,
     ServeConfig, ShuffleConfig, SlotConfig,
 };
 pub use error::{Error, Result};

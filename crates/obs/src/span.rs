@@ -147,10 +147,8 @@ pub enum SpanKind {
         /// Total partitions the plan regenerates.
         partitions: u32,
     },
-    /// One wave executed by a wave-executor backend, with reactor
-    /// health counters (emitted by `rcmp-exec`'s async backend; the
-    /// threaded backend stays byte-identical to the pre-executor code
-    /// and records nothing extra).
+    /// One wave executed by `rcmp-exec`'s reactor, with its health
+    /// counters.
     ExecutorWave {
         /// Backend name (`"async"`).
         backend: String,

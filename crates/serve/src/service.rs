@@ -21,9 +21,9 @@
 
 use rcmp_core::{ChainDriver, Strategy};
 use rcmp_engine::{Cluster, FailureInjector, JobSpec};
-use rcmp_exec::{BackendExecutor, WorkerBudget};
+use rcmp_exec::{AsyncExecutor, WorkerBudget};
 use rcmp_model::rng::derive_indexed;
-use rcmp_model::{Error, ExecutorConfig, Result, ServeConfig, TenantId};
+use rcmp_model::{Error, Result, ServeConfig, TenantId};
 use rcmp_obs::{Counter, Gauge, Histogram};
 use rcmp_policy::{DrrArbiter, TenantShare};
 use std::collections::HashMap;
@@ -420,15 +420,9 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Builds a per-chain executor session matching the cluster's backend
-/// kind: async chains get their own reactor sized to the worker lease;
-/// threaded stays threaded (its per-slot threads are its semantics).
-fn per_chain_executor(cluster: &Cluster, workers: u32) -> BackendExecutor {
-    let cfg = match cluster.executor().name() {
-        "async" => ExecutorConfig::async_workers(workers),
-        _ => ExecutorConfig::default(),
-    };
-    BackendExecutor::from_config(&cfg)
+/// Builds a per-chain reactor sized to the chain's worker lease.
+fn per_chain_executor(cluster: &Cluster, workers: u32) -> AsyncExecutor {
+    AsyncExecutor::new(workers)
         .with_obs(cluster.tracer().clone(), cluster.metrics())
         .with_profiler(cluster.profiler().clone())
 }

@@ -118,7 +118,10 @@ impl SimChainCache {
 
     /// Stages one reducer's whole-partition output for the running job.
     pub fn stage(&mut self, file: FileId, pid: u32, holder: Node, bytes: u64) {
-        self.staged.entry(file).or_default().insert(pid, (holder, bytes));
+        self.staged
+            .entry(file)
+            .or_default()
+            .insert(pid, (holder, bytes));
     }
 
     /// Admits the staged partitions of `file` in ascending partition

@@ -9,7 +9,7 @@
 //! engine-level analogue of the paper's per-record MD5 + byte-sum
 //! correctness computations.
 
-use crate::md5::md5_u64;
+use crate::md5::Md5;
 use bytes::Bytes;
 use rcmp_model::Record;
 
@@ -34,10 +34,10 @@ pub struct OutputDigest {
 impl OutputDigest {
     /// Folds one record in.
     pub fn add_record(&mut self, rec: &Record) {
-        let mut buf = Vec::with_capacity(8 + rec.value.len());
-        buf.extend_from_slice(&rec.key.to_le_bytes());
-        buf.extend_from_slice(&rec.value);
-        let h = md5_u64(&buf);
+        let mut md5 = Md5::new();
+        md5.update(&rec.key.to_le_bytes());
+        md5.update(&rec.value);
+        let h = md5.finish_u64();
         self.count += 1;
         self.md5_xor ^= h;
         self.md5_sum = self.md5_sum.wrapping_add(h);
@@ -138,6 +138,16 @@ mod tests {
         let doubled = OutputDigest::of_records(&[rec(1, b"x"), rec(1, b"x"), rec(1, b"x")]);
         assert_eq!(base.md5_xor, doubled.md5_xor, "XOR alone is blind here");
         assert_ne!(base, doubled, "full digest catches it");
+    }
+
+    #[test]
+    fn record_hash_is_md5_of_key_then_value() {
+        let r = rec(0x0102_0304_0506_0708, &[0xab; 100]);
+        let mut cat = r.key.to_le_bytes().to_vec();
+        cat.extend_from_slice(&r.value);
+        let d = OutputDigest::of_records([&r]);
+        assert_eq!(d.md5_xor, crate::md5::md5_u64(&cat));
+        assert_eq!(d.md5_sum, d.md5_xor);
     }
 
     #[test]

@@ -22,9 +22,9 @@ fn main() {
         block_size: ByteSize::kib(4),
         failure_detection_secs: 30.0,
         max_recovery_attempts: 100,
-        // Thread-per-slot by default; `RCMP_EXECUTOR=async` (or
-        // `ExecutorConfig::async_auto()`) runs the same seeded
-        // schedule on the cooperative reactor instead.
+        // A host-sized reactor pool by default; `RCMP_EXECUTOR=async:1`
+        // (or `ExecutorConfig::async_workers(1)`) runs the same seeded
+        // schedule on one worker thread.
         executor: ExecutorConfig::from_env_or_default(),
         shuffle: Default::default(),
         retry: Default::default(),

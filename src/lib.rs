@@ -13,9 +13,9 @@
 //! * [`model`] — shared types (ids, records, configs, partitioners);
 //! * [`dfs`] — the HDFS-like replicated, partitioned block store;
 //! * [`engine`] — the real multi-threaded MapReduce engine;
-//! * [`exec`] — wave-executor backends (per-slot OS threads, or the
-//!   cooperative async reactor that runs thousands of simulated slots
-//!   on a bounded worker pool);
+//! * [`exec`] — the wave executor: a cooperative reactor that runs
+//!   thousands of simulated slots on one persistent, host-sized worker
+//!   pool;
 //! * [`policy`] — the shared scheduling/recomputation policy kernel
 //!   (wave assignment, hot-spot mitigation, [`policy::RecomputePlan`])
 //!   that both the engine and the simulator execute;

@@ -254,35 +254,37 @@ fn chaos_replay(
     }
 }
 
-/// Backend determinism under the paper's fail-stop failure model: with
-/// a crash-only chaos schedule (node kills fire serially at trigger
-/// points, never mid-wave) the threaded and async wave executors drive
-/// the 7-job chain through *identical* recovery event sequences —
-/// every loss, recovery plan and recompute run in the same order — and
-/// any converging run lands on the same golden digest. Wave assignment
-/// precedes execution and outcomes are input-ordered, so the backend
-/// (and its worker count) must be unobservable to the recovery
-/// machinery.
+/// Executor determinism under the paper's fail-stop failure model:
+/// with a crash-only chaos schedule (node kills fire serially at
+/// trigger points, never mid-wave) the reactor drives the 7-job chain
+/// through *identical* recovery event sequences at every worker count —
+/// serial, two, auto-sized, and ten (twice the 5-node cluster's slots,
+/// oversubscribed) — with every loss, recovery plan and
+/// recompute run in the same order, and any converging run lands on the
+/// same golden digest. Wave assignment precedes execution and outcomes
+/// are input-ordered, so the worker count must be unobservable to the
+/// recovery machinery.
 ///
 /// Partial faults are excluded here on purpose: a torn write kills its
 /// node *mid-wave* from inside a running task, and which concurrent
 /// tasks observe the shrunken live set is inherently timing-dependent
-/// under the thread-per-slot backend (see
+/// with more than one worker (see
 /// `serial_reactor_replays_full_chaos_exactly` for the guarantee the
-/// async reactor adds there).
+/// serial reactor adds there).
 #[test]
 fn backends_replay_identical_recovery_sequences() {
     let expected = golden();
     for chaos_seed in [11u64, 4096, 777_777] {
         let mut replays: Vec<(String, Option<rcmp::core::EventLog>)> = Vec::new();
         for exec in [
-            ExecutorConfig::default(),
-            ExecutorConfig::async_auto(),
             ExecutorConfig::async_workers(1),
+            ExecutorConfig::async_workers(2),
+            ExecutorConfig::default(),
+            ExecutorConfig::async_workers(10),
         ] {
             replays.push(chaos_replay(exec, chaos_seed, 0.3, 0.0, &expected));
         }
-        let (first, rest) = replays.split_first().expect("three backends ran");
+        let (first, rest) = replays.split_first().expect("four worker counts ran");
         assert_ne!(
             first.0, "converged after 0 kills",
             "seed {chaos_seed}: schedule injected no kills — test lost its teeth"
@@ -290,7 +292,7 @@ fn backends_replay_identical_recovery_sequences() {
         for other in rest {
             assert_eq!(
                 first, other,
-                "seed {chaos_seed}: backends diverged in outcome or event sequence"
+                "seed {chaos_seed}: worker counts diverged in outcome or event sequence"
             );
         }
     }
@@ -299,11 +301,11 @@ fn backends_replay_identical_recovery_sequences() {
 /// The serial reactor (`async_workers(1)`) makes even *full-shape*
 /// chaos — torn writes that kill nodes mid-wave, shuffle flakes,
 /// replica corruption — exactly replayable: two runs of the same seed
-/// produce identical outcomes and event sequences. The thread-per-slot
-/// backend cannot promise this (mid-wave node death races against
-/// in-flight tasks), which is precisely the debugging story the
-/// cooperative backend adds: any chaos failure replays deterministically
-/// under `RCMP_EXECUTOR=async:1`.
+/// produce identical outcomes and event sequences. A parallel pool
+/// cannot promise this (mid-wave node death races against in-flight
+/// tasks), which is precisely the debugging story the serial reactor
+/// adds: any chaos failure replays deterministically under
+/// `RCMP_EXECUTOR=async:1`.
 #[test]
 fn serial_reactor_replays_full_chaos_exactly() {
     let expected = golden();

@@ -1,9 +1,9 @@
-//! Executor-backend acceptance tests: the async reactor's OS-thread
-//! budget at DCO scale, cross-backend agreement on the real engine, and
+//! Executor acceptance tests: the reactor's OS-thread budget at DCO
+//! scale, agreement across worker counts on the real engine, and
 //! cooperative wave cancellation after a fatal fault.
 
 use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, ScriptedInjector, TriggerPoint};
-use rcmp::exec::{AsyncExecutor, Executor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
+use rcmp::exec::{AsyncExecutor, SlotOutcome, SlotTask, TaskCtx, WaveSpec};
 use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig, TaskId};
 use rcmp::obs::{MetricsRegistry, SnapshotValue, SpanKind, Tracer};
 use rcmp::workloads::checksum::digest_file;
@@ -86,27 +86,29 @@ fn engine_run(
     (report, digest)
 }
 
-/// Under a fixed cluster seed the backends execute *identical*
+/// Under a fixed cluster seed every worker count executes *identical*
 /// schedules: same task-to-node-to-wave assignment, same I/O volumes,
 /// same output bytes. Wave assignment happens before execution and
-/// outcomes are input-ordered, so backend choice cannot leak into
-/// anything the policy kernel or the digests observe.
+/// outcomes are input-ordered, so the pool size cannot leak into
+/// anything the policy kernel or the digests observe. Ten workers
+/// oversubscribe the 4-node, 2-slot cluster's 8 slots per wave.
 #[test]
 fn backends_execute_identical_schedules() {
-    let (threaded, threaded_digest) = engine_run(ExecutorConfig::default());
+    let (serial, serial_digest) = engine_run(ExecutorConfig::async_workers(1));
+    let key = |r: &rcmp::engine::JobReport| -> Vec<(TaskId, NodeId, u32)> {
+        r.tasks.iter().map(|t| (t.id, t.node, t.wave)).collect()
+    };
     for cfg in [
-        ExecutorConfig::async_auto(),
-        ExecutorConfig::async_workers(1),
+        ExecutorConfig::async_workers(2),
+        ExecutorConfig::default(),
+        ExecutorConfig::async_workers(10),
     ] {
-        let (asynced, async_digest) = engine_run(cfg);
-        let key = |r: &rcmp::engine::JobReport| -> Vec<(TaskId, NodeId, u32)> {
-            r.tasks.iter().map(|t| (t.id, t.node, t.wave)).collect()
-        };
-        assert_eq!(key(&threaded), key(&asynced), "schedule diverged: {cfg:?}");
-        assert_eq!(threaded.map_waves, asynced.map_waves);
-        assert_eq!(threaded.reduce_waves, asynced.reduce_waves);
-        assert_eq!(threaded.io, asynced.io, "I/O accounting diverged: {cfg:?}");
-        assert_eq!(threaded_digest, async_digest, "output diverged: {cfg:?}");
+        let (pooled, pooled_digest) = engine_run(cfg);
+        assert_eq!(key(&serial), key(&pooled), "schedule diverged: {cfg:?}");
+        assert_eq!(serial.map_waves, pooled.map_waves);
+        assert_eq!(serial.reduce_waves, pooled.reduce_waves);
+        assert_eq!(serial.io, pooled.io, "I/O accounting diverged: {cfg:?}");
+        assert_eq!(serial_digest, pooled_digest, "output diverged: {cfg:?}");
     }
 }
 
