@@ -6,6 +6,7 @@
 //! of real task work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rcmp_model::PlacementKernel;
 use rcmp_policy::{
     assign_map_waves, assign_reduce_waves, FnMapTasks, FnReduceTasks, PolicyCtx, ReduceAssignment,
     SliceTopology,
@@ -39,6 +40,7 @@ fn bench_map_kernel(c: &mut Criterion) {
                 assign_map_waves(
                     std::hint::black_box(&topo),
                     std::hint::black_box(&set),
+                    PlacementKernel::Default,
                     PolicyCtx::disabled(),
                 )
                 .unwrap()

@@ -1,7 +1,7 @@
 //! Regenerates the paper's figures.
 //!
 //! ```text
-//! fig_runner [all|fig02|fig08a|fig08b|fig08c|fig09|fig10|fig11|fig12|fig13|fig14|trace|exec|shuffle|placement|resilience|obs|serve|chain]...
+//! fig_runner [all|fig02|fig08a|fig08b|fig08c|fig09|fig10|fig11|fig12|fig13|fig14|trace|exec|shuffle|resilience|obs|serve|chain]...
 //!            [--quick] [--json <dir>]
 //! ```
 //!
@@ -117,11 +117,6 @@ fn main() {
                 let r = shufflefig::run_scaled(scale);
                 println!("{}", r.render());
                 write_json("BENCH_shuffle", serde_json::to_value(&r).unwrap());
-            }
-            "placement" => {
-                let r = placementfig::run_scaled(scale);
-                println!("{}", r.render());
-                write_json("BENCH_placement", serde_json::to_value(&r).unwrap());
             }
             "resilience" => {
                 let r = resiliencefig::run_scaled(scale);

@@ -14,7 +14,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod obsfig;
-pub mod placementfig;
 pub mod resiliencefig;
 pub mod servefig;
 pub mod shufflefig;

@@ -228,7 +228,10 @@ impl ChainCache {
                     .entries
                     .iter()
                     .filter(|((p, _), _)| inner.pins.get(p).copied().unwrap_or(0) == 0)
-                    .min_by_key(|(_, e)| e.seq)
+                    // A pin stamps all of a file's entries alike; break
+                    // that tie by partition id so eviction does not
+                    // follow hash-map order (the simulator's order too).
+                    .min_by_key(|((_, pid), e)| (e.seq, *pid))
                     .map(|(k, _)| k.clone());
                 match victim {
                     Some(k) => {
@@ -535,6 +538,25 @@ mod tests {
         cache.commit("d");
         assert!(cache.holder("d", PartitionId(0)).is_some());
         assert_eq!(cache.stats().used_bytes, 20);
+    }
+
+    #[test]
+    fn eviction_ties_break_by_partition_id() {
+        let cache = ChainCache::new(ByteSize::bytes(30));
+        let c = payload(10, 1);
+        for pid in 0..3 {
+            cache.stage("a", PartitionId(pid), NodeId(pid), std::slice::from_ref(&c));
+        }
+        cache.commit("a");
+        // One pin stamps all three partitions with the same recency.
+        cache.pin_file("a");
+        cache.unpin_file("a");
+        cache.stage("b", PartitionId(0), NodeId(3), std::slice::from_ref(&c));
+        cache.commit("b");
+        let kept: Vec<bool> = (0..3)
+            .map(|pid| cache.holder("a", PartitionId(pid)).is_some())
+            .collect();
+        assert_eq!(kept, vec![false, true, true]);
     }
 
     #[test]

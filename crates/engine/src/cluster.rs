@@ -94,11 +94,8 @@ impl Cluster {
             ));
         }
         // The authoritative membership record both backends schedule
-        // against: same node→rack layout as the DFS placement topology.
-        let membership = match &dfs.config().topology {
-            Some(t) => Membership::with_racks(cfg.nodes, t.racks),
-            None => Membership::uniform(cfg.nodes),
-        };
+        // against.
+        let membership = Membership::uniform(cfg.nodes);
         let epoch_gauge = metrics.gauge("membership.epoch");
         let live_gauge = metrics.gauge("membership.live_nodes");
         live_gauge.set(membership.schedulable().len() as i64);
@@ -238,9 +235,9 @@ impl Cluster {
 
     /// Adds a fresh node (Up, empty) and returns its id. Bumps the
     /// membership epoch.
-    pub fn join_node(&self, capacity: u32, rack: u32) -> NodeId {
+    pub fn join_node(&self) -> NodeId {
         let id = self.dfs.join_node();
-        let idx = self.membership.lock().join(capacity, rack);
+        let idx = self.membership.lock().join();
         debug_assert_eq!(idx, id.raw(), "dfs and membership indices agree");
         self.note_transition("join", id);
         id
@@ -338,7 +335,7 @@ mod tests {
         assert_eq!(cl.schedulable_nodes(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(cl.live_nodes().len(), 3, "draining stays readable");
 
-        let joined = cl.join_node(1, 0);
+        let joined = cl.join_node();
         assert_eq!(joined, NodeId(3));
         assert_eq!(cl.membership_epoch(), 2);
 

@@ -13,8 +13,7 @@
 use crate::task::{MapTask, ReduceTask};
 use rcmp_model::{NodeId, PlacementKernel, Result};
 use rcmp_policy::{
-    CacheAffinity, FnReduceTasks, KernelTopology, MapTaskSet, Membership, PolicyCtx, SliceTopology,
-    WaveAssignment,
+    CacheAffinity, FnReduceTasks, MapTaskSet, PolicyCtx, SliceTopology, WaveAssignment,
 };
 
 pub use rcmp_policy::ReduceAssignment;
@@ -56,45 +55,26 @@ fn resolve<T>(assignment: WaveAssignment<NodeId>, tasks: Vec<T>) -> Waves<T> {
 }
 
 /// Assigns map tasks to waves over the live nodes via the shared
-/// kernel. Errors with [`rcmp_model::Error::NoLiveNodes`] when the
-/// cluster has no survivors.
-pub fn assign_map_waves(
-    tasks: Vec<MapTask>,
-    live: &[NodeId],
-    slots: u32,
-    ctx: PolicyCtx<'_>,
-) -> Result<Waves<MapTask>> {
-    let topo = SliceTopology::uniform(live, slots);
-    let assignment = rcmp_policy::assign_map_waves(&topo, &MapTaskSlice(&tasks), ctx)?;
-    Ok(resolve(assignment, tasks))
-}
-
-/// Like [`assign_map_waves`] but through the configured placement
-/// kernel, with per-node capacity and rack hints drawn from a
-/// membership snapshot (aligned position-for-position with `live`).
+/// kernel, under the configured placement kernel. Errors with
+/// [`rcmp_model::Error::NoLiveNodes`] when the cluster has no survivors.
 ///
 /// `cached` is the chain-cache affinity map, aligned with `tasks`:
 /// `cached[t]` names the node holding task `t`'s input partition in
 /// memory, if any. Only the `Stable` kernel consults it; pass an empty
-/// slice when the cache is off (every kernel then behaves exactly as
-/// before the cache existed).
-pub fn assign_map_waves_kernel(
+/// slice when the cache is off (both kernels then place identically).
+pub fn assign_map_waves(
     tasks: Vec<MapTask>,
     live: &[NodeId],
     slots: u32,
     kernel: PlacementKernel,
-    membership: &Membership,
     cached: &[Option<NodeId>],
     ctx: PolicyCtx<'_>,
 ) -> Result<Waves<MapTask>> {
-    let raw: Vec<u32> = live.iter().map(|n| n.raw()).collect();
-    let caps = membership.caps_for(&raw);
-    let racks = membership.racks_for(&raw);
-    let topo = KernelTopology::uniform(live, slots, &caps, &racks);
+    let topo = SliceTopology::uniform(live, slots);
     let set = CacheAffinity::new(MapTaskSlice(&tasks), |t: usize| {
         cached.get(t).copied().flatten()
     });
-    let assignment = rcmp_policy::assign_map_waves_kernel(&topo, &set, kernel, ctx)?;
+    let assignment = rcmp_policy::assign_map_waves(&topo, &set, kernel, ctx)?;
     Ok(resolve(assignment, tasks))
 }
 
@@ -111,26 +91,6 @@ pub fn assign_reduce_waves(
     let topo = SliceTopology::uniform(live, slots);
     let set = FnReduceTasks::new(tasks.len(), |t| tasks[t].id.partition.index());
     let assignment = rcmp_policy::assign_reduce_waves(&topo, &set, style, ctx)?;
-    Ok(resolve(assignment, tasks))
-}
-
-/// Like [`assign_reduce_waves`] but through the configured placement
-/// kernel, with capacity/rack hints from a membership snapshot.
-pub fn assign_reduce_waves_kernel(
-    tasks: Vec<ReduceTask>,
-    live: &[NodeId],
-    slots: u32,
-    style: ReduceAssignment,
-    kernel: PlacementKernel,
-    membership: &Membership,
-    ctx: PolicyCtx<'_>,
-) -> Result<Waves<ReduceTask>> {
-    let raw: Vec<u32> = live.iter().map(|n| n.raw()).collect();
-    let caps = membership.caps_for(&raw);
-    let racks = membership.racks_for(&raw);
-    let topo = KernelTopology::uniform(live, slots, &caps, &racks);
-    let set = FnReduceTasks::new(tasks.len(), |t| tasks[t].id.partition.index());
-    let assignment = rcmp_policy::assign_reduce_waves_kernel(&topo, &set, style, kernel, ctx)?;
     Ok(resolve(assignment, tasks))
 }
 
@@ -166,7 +126,15 @@ mod tests {
     fn balanced_map_tasks_prefer_local() {
         // 4 tasks, 4 nodes, 1 replica each on its "own" node.
         let tasks: Vec<MapTask> = (0..4).map(|i| map_task(i, &[i])).collect();
-        let waves = assign_map_waves(tasks, &nodes(4), 1, PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            tasks,
+            &nodes(4),
+            1,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         assert_eq!(waves.len(), 1);
         for (node, task) in &waves[0] {
             assert!(
@@ -180,7 +148,15 @@ mod tests {
     fn few_tasks_spread_over_nodes_not_piled_on_replica_holder() {
         // The hot-spot scenario: 3 blocks all on node 0, 4 live nodes.
         let tasks: Vec<MapTask> = (0..3).map(|i| map_task(i, &[0])).collect();
-        let waves = assign_map_waves(tasks, &nodes(4), 1, PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            tasks,
+            &nodes(4),
+            1,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         // All three run in a single wave on three different nodes.
         assert_eq!(waves.len(), 1);
         let used: std::collections::HashSet<NodeId> = waves[0].iter().map(|(n, _)| *n).collect();
@@ -190,7 +166,15 @@ mod tests {
     #[test]
     fn waves_respect_slots() {
         let tasks: Vec<MapTask> = (0..8).map(|i| map_task(i, &[])).collect();
-        let waves = assign_map_waves(tasks, &nodes(2), 2, PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            tasks,
+            &nodes(2),
+            2,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         // 8 tasks / (2 nodes * 2 slots) = 2 waves.
         assert_eq!(waves.len(), 2);
         for wave in &waves {
@@ -273,7 +257,15 @@ mod tests {
 
     #[test]
     fn empty_task_list_zero_waves() {
-        let waves = assign_map_waves(Vec::new(), &nodes(2), 1, PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            Vec::new(),
+            &nodes(2),
+            1,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         assert!(waves.is_empty());
         let waves = assign_reduce_waves(
             Vec::new(),
@@ -287,70 +279,16 @@ mod tests {
     }
 
     #[test]
-    fn default_kernel_matches_plain_assignment() {
-        let m = Membership::uniform(4);
-        let mk = |i| map_task(i, &[i % 4]);
-        let tasks: Vec<MapTask> = (0..7).map(mk).collect();
-        let plain = assign_map_waves(tasks.clone(), &nodes(4), 1, PolicyCtx::disabled()).unwrap();
-        let kernel = assign_map_waves_kernel(
-            tasks,
-            &nodes(4),
-            1,
-            PlacementKernel::Default,
-            &m,
-            &[],
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        let ids = |w: &Waves<MapTask>| -> Vec<Vec<(NodeId, u32)>> {
-            w.iter()
-                .map(|wave| wave.iter().map(|(n, t)| (*n, t.id.index)).collect())
-                .collect()
-        };
-        assert_eq!(ids(&plain), ids(&kernel));
-    }
-
-    #[test]
-    fn capacity_weighted_kernel_uses_membership_caps() {
-        let mut m = Membership::uniform(1);
-        m.join(3, 0); // node 1 weighs 3×
-        let tasks: Vec<MapTask> = (0..8).map(|i| map_task(i, &[])).collect();
-        let waves = assign_map_waves_kernel(
-            tasks,
-            &nodes(2),
-            1,
-            PlacementKernel::CapacityWeighted,
-            &m,
-            &[],
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(
-            waves.len(),
-            2,
-            "3×-weighted node packs the job into 2 waves"
-        );
-        let on_big = waves
-            .iter()
-            .flatten()
-            .filter(|(n, _)| *n == NodeId(1))
-            .count();
-        assert_eq!(on_big, 6);
-    }
-
-    #[test]
     fn stable_kernel_follows_cache_affinity() {
-        let m = Membership::uniform(4);
         // Every block's DFS replica sits on node 0, but each task's
         // partition is cached on its "own" node.
         let tasks: Vec<MapTask> = (0..4).map(|i| map_task(i, &[0])).collect();
         let cached: Vec<Option<NodeId>> = (0..4).map(|i| Some(NodeId(i))).collect();
-        let waves = assign_map_waves_kernel(
+        let waves = assign_map_waves(
             tasks,
             &nodes(4),
             1,
             PlacementKernel::Stable,
-            &m,
             &cached,
             PolicyCtx::disabled(),
         )
@@ -363,8 +301,15 @@ mod tests {
 
     #[test]
     fn dead_cluster_is_a_typed_error() {
-        let err =
-            assign_map_waves(vec![map_task(0, &[0])], &[], 1, PolicyCtx::disabled()).unwrap_err();
+        let err = assign_map_waves(
+            vec![map_task(0, &[0])],
+            &[],
+            1,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap_err();
         assert_eq!(err, Error::NoLiveNodes);
     }
 }

@@ -28,9 +28,7 @@ use crate::failure::{FailureInjector, Fault, ProgressEvent, TriggerPoint};
 use crate::job::{JobRun, JobSpec, RunMode};
 use crate::mapstore::{BucketIndex, MapInputKey};
 use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
-use crate::scheduler::{
-    assign_map_waves_kernel, assign_reduce_waves_kernel, ReduceAssignment, Waves,
-};
+use crate::scheduler::{assign_map_waves, assign_reduce_waves, ReduceAssignment, Waves};
 use crate::shuffle::{shuffle_for_reduce, ShuffleFailure, StreamingShuffle};
 use crate::task::{MapTask, ReduceTask};
 use crate::udf::Combiner;
@@ -373,7 +371,6 @@ impl<'a> JobTracker<'a> {
                 while !pending_maps.is_empty() {
                     self.check_inputs_available(spec, &pending_maps)?;
                     let live = self.live_or_fail()?;
-                    let membership = self.cluster.membership();
                     // Partition-stable placement: under the `stable`
                     // kernel, route each map task to the node whose chain
                     // cache holds its input partition in memory (job i's
@@ -396,12 +393,11 @@ impl<'a> JobTracker<'a> {
                         } else {
                             Vec::new()
                         };
-                    let waves = assign_map_waves_kernel(
+                    let waves = assign_map_waves(
                         pending_maps.clone(),
                         &live,
                         self.cluster.config().slots.map,
                         self.cluster.config().placement,
-                        &membership,
                         &cached,
                         PolicyCtx::new(&self.tracer, Some(job_span)),
                     )?;
@@ -484,14 +480,11 @@ impl<'a> JobTracker<'a> {
                 } else {
                     ReduceAssignment::RoundRobinByPartition
                 };
-                let membership = self.cluster.membership();
-                let waves: Waves<ReduceTask> = assign_reduce_waves_kernel(
+                let waves: Waves<ReduceTask> = assign_reduce_waves(
                     pending_reduces.clone(),
                     &live,
                     self.cluster.config().slots.reduce,
                     style,
-                    self.cluster.config().placement,
-                    &membership,
                     PolicyCtx::new(&self.tracer, Some(job_span)),
                 )?;
                 // Owned by `Arc` because session workers may briefly outlive

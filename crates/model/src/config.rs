@@ -114,31 +114,15 @@ impl ExecutorConfig {
 
 /// Which placement kernel assigns tasks to nodes.
 ///
-/// All kernels run the same wave arithmetic (§II) and produce
+/// Both kernels run the same wave arithmetic (§II) and produce
 /// schedules byte-identical between the engine and the simulator; they
-/// differ only in *which* pending task a node claims (and, for
-/// [`PlacementKernel::CapacityWeighted`], how many).
+/// differ only in *which* pending map task a node claims.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementKernel {
     /// Hadoop's slot-pull: primary-local first, then any local replica,
     /// then steal the oldest pending task (the historical behaviour).
     #[default]
     Default,
-    /// Like `Default`, but the steal fallback prefers a task with a
-    /// replica anywhere in the claimer's *rack* before going truly
-    /// remote (HDFS-style rack locality, §III-A).
-    RackAware,
-    /// Delay scheduling: a node with no local task skips its claim for
-    /// up to `rounds` claim rounds, waiting for a local one to surface,
-    /// before falling back to stealing.
-    Delay {
-        /// Claim rounds a node waits for a local task before stealing.
-        rounds: u32,
-    },
-    /// Heterogeneous slot-pull: each node claims tasks (and packs
-    /// waves) in proportion to its capacity weight from the membership
-    /// record, so big nodes pull more work per round.
-    CapacityWeighted,
     /// Partition-stable chain placement (M3R-style): a node first claims
     /// the map tasks whose input partition it holds in the inter-job
     /// [`ChainCacheConfig`] cache from the previous job, then falls back
@@ -148,49 +132,10 @@ pub enum PlacementKernel {
 }
 
 impl PlacementKernel {
-    /// Kernel override from the `RCMP_PLACEMENT` environment variable
-    /// (`default`, `rack`, `delay:<rounds>`, or `capacity`), falling
-    /// back to the default when unset or unparseable. Lets whole test
-    /// binaries be re-run under another kernel (the CI placement
-    /// matrix) without touching each construction site.
-    pub fn from_env_or_default() -> Self {
-        match std::env::var("RCMP_PLACEMENT") {
-            Ok(v) => Self::parse(&v).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
-
-    /// Parses a kernel spec (`default` | `rack` | `delay:<rounds>` |
-    /// `capacity` | `stable`).
-    pub fn parse(spec: &str) -> Option<Self> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("default") {
-            return Some(Self::Default);
-        }
-        if spec.eq_ignore_ascii_case("rack") {
-            return Some(Self::RackAware);
-        }
-        if spec.eq_ignore_ascii_case("capacity") {
-            return Some(Self::CapacityWeighted);
-        }
-        if spec.eq_ignore_ascii_case("stable") {
-            return Some(Self::Stable);
-        }
-        let rest = spec
-            .strip_prefix("delay:")
-            .or_else(|| spec.strip_prefix("DELAY:"))?;
-        rest.parse::<u32>()
-            .ok()
-            .map(|rounds| Self::Delay { rounds })
-    }
-
     /// Short label for figure tables and CI logs.
     pub fn label(&self) -> String {
         match self {
             Self::Default => "default".into(),
-            Self::RackAware => "rack".into(),
-            Self::Delay { rounds } => format!("delay:{rounds}"),
-            Self::CapacityWeighted => "capacity".into(),
             Self::Stable => "stable".into(),
         }
     }
@@ -505,34 +450,19 @@ impl ClusterConfig {
     /// STIC-like config from the paper: 10 nodes, 256 MB blocks.
     pub fn stic(slots: SlotConfig) -> Self {
         Self {
-            nodes: 10,
             slots,
             block_size: ByteSize::mib(256),
-            failure_detection_secs: 30.0,
             seed: 0x57_1c,
-            max_recovery_attempts: 100,
-            executor: ExecutorConfig::default(),
-            shuffle: ShuffleConfig::default(),
-            retry: RetryPolicy::default(),
-            placement: PlacementKernel::default(),
-            chain_cache: ChainCacheConfig::default(),
+            ..Self::small_test(10)
         }
     }
 
     /// DCO-like config from the paper: 60 nodes, 256 MB blocks.
     pub fn dco() -> Self {
         Self {
-            nodes: 60,
-            slots: SlotConfig::ONE_ONE,
             block_size: ByteSize::mib(256),
-            failure_detection_secs: 30.0,
             seed: 0xdc0,
-            max_recovery_attempts: 100,
-            executor: ExecutorConfig::default(),
-            shuffle: ShuffleConfig::default(),
-            retry: RetryPolicy::default(),
-            placement: PlacementKernel::default(),
-            chain_cache: ChainCacheConfig::default(),
+            ..Self::small_test(60)
         }
     }
 
@@ -690,31 +620,9 @@ mod tests {
     }
 
     #[test]
-    fn placement_spec_parsing() {
-        assert_eq!(
-            PlacementKernel::parse("default"),
-            Some(PlacementKernel::Default)
-        );
-        assert_eq!(
-            PlacementKernel::parse("rack"),
-            Some(PlacementKernel::RackAware)
-        );
-        assert_eq!(
-            PlacementKernel::parse("delay:3"),
-            Some(PlacementKernel::Delay { rounds: 3 })
-        );
-        assert_eq!(
-            PlacementKernel::parse("capacity"),
-            Some(PlacementKernel::CapacityWeighted)
-        );
-        assert_eq!(
-            PlacementKernel::parse("stable"),
-            Some(PlacementKernel::Stable)
-        );
+    fn placement_labels() {
+        assert_eq!(PlacementKernel::Default.label(), "default");
         assert_eq!(PlacementKernel::Stable.label(), "stable");
-        assert_eq!(PlacementKernel::parse("delay:soon"), None);
-        assert_eq!(PlacementKernel::parse("anywhere"), None);
-        assert_eq!(PlacementKernel::Delay { rounds: 3 }.label(), "delay:3");
         assert_eq!(
             ClusterConfig::small_test(2).placement,
             PlacementKernel::Default

@@ -21,6 +21,9 @@
 //!   the work: task count, replica/primary-holder queries, partition
 //!   keys. [`FnMapTasks`] / [`FnReduceTasks`] adapt closures.
 //! * [`assign_map_waves`] / [`assign_reduce_waves`] — the wave kernels.
+//!   The map kernel takes a `rcmp_model::PlacementKernel`: Hadoop's
+//!   slot-pull (`Default`) or partition-stable chain placement
+//!   (`Stable`), sharing one claim loop.
 //! * [`RecomputePlan`] — the unified recomputation instruction set that
 //!   `rcmp-engine::RecomputeInstructions` and `rcmp-sim::RecomputeSpec`
 //!   are re-exports of.
@@ -36,13 +39,8 @@
 //! * [`Membership`] — the versioned, mutable node set: join / drain /
 //!   decommission / rejoin transitions with epoch numbers, snapshotted
 //!   identically by both backends.
-//! * [`assign_map_waves_kernel`] / [`assign_reduce_waves_kernel`] —
-//!   pluggable placement kernels (rack-aware, delay scheduling,
-//!   capacity-weighted) selected via
-//!   `rcmp_model::PlacementKernel`, all sharing one claim loop.
-//! * [`RackTopology`] — the single node→rack layout shared by DFS
-//!   replica placement and the rack-aware kernel (formerly duplicated
-//!   in `rcmp-dfs`).
+//! * [`RackTopology`] — the node→rack layout DFS replica placement
+//!   uses (§III-A).
 //! * [`DrrArbiter`] — cross-tenant fair-share arbitration (weighted
 //!   deficit round-robin with per-tenant in-flight quotas), the tier
 //!   *above* the wave kernels that the `rcmp-serve` job service uses to
@@ -64,12 +62,12 @@ pub use adapt::{
     DynamicPolicy, FailureIntensityEstimator, FaultObserver,
 };
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
-pub use membership::{Membership, NodeInfo, NodeStatus};
+pub use membership::{Membership, NodeStatus};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};
 pub use plan::RecomputePlan;
 pub use tasks::{CacheAffinity, FnMapTasks, FnReduceTasks, MapTaskSet, ReduceTaskSet};
-pub use topology::{rack_aware_order, KernelTopology, RackTopology, SliceTopology, TopologyView};
+pub use topology::{rack_aware_order, RackTopology, SliceTopology, TopologyView};
 pub use waves::{
-    assign_map_waves, assign_map_waves_kernel, assign_reduce_waves, assign_reduce_waves_kernel,
-    queues_to_waves, queues_to_waves_weighted, PolicyCtx, ReduceAssignment, WaveAssignment,
+    assign_map_waves, assign_reduce_waves, queues_to_waves, PolicyCtx, ReduceAssignment,
+    WaveAssignment,
 };

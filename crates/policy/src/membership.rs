@@ -2,12 +2,12 @@
 //!
 //! The static node set the paper assumes (§II fixes the cluster at
 //! construction) becomes a **membership record**: every node carries a
-//! lifecycle status, a capacity weight and a rack, and every transition
-//! — join, drain, decommission, rejoin, death — bumps a monotonically
-//! increasing **epoch**. Both backends (engine and simulator) schedule
-//! against snapshots of this one type, so a transition sequence yields
-//! byte-identical live sets, capacity vectors and rack vectors on both
-//! sides — the membership extension of the PR 3 engine ≡ sim invariant.
+//! lifecycle status, and every transition — join, drain, decommission,
+//! rejoin, death — bumps a monotonically increasing **epoch**. Both
+//! backends (engine and simulator) schedule against snapshots of this
+//! one type, so a transition sequence yields byte-identical live sets
+//! on both sides — the membership extension of the engine ≡ sim
+//! invariant.
 //!
 //! Status semantics mirror HDFS/YARN decommissioning:
 //!
@@ -48,18 +48,6 @@ impl NodeStatus {
     }
 }
 
-/// Per-node membership record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeInfo {
-    /// Lifecycle status.
-    pub status: NodeStatus,
-    /// Capacity weight (slots multiplier for the capacity-weighted
-    /// placement kernel); homogeneous clusters use 1.
-    pub capacity: u32,
-    /// Rack index (for the rack-aware placement kernel).
-    pub rack: u32,
-}
-
 /// The versioned membership record of a cluster.
 ///
 /// Node indices are dense and stable: a node keeps its index for the
@@ -68,38 +56,15 @@ pub struct NodeInfo {
 /// (`NodeId(i)`) and the simulator (`u32` `i`) name the same machine.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Membership {
-    nodes: Vec<NodeInfo>,
+    nodes: Vec<NodeStatus>,
     epoch: u64,
 }
 
 impl Membership {
-    /// A homogeneous single-rack cluster of `n` nodes, all up.
+    /// A cluster of `n` nodes, all up.
     pub fn uniform(n: u32) -> Self {
         Self {
-            nodes: (0..n)
-                .map(|_| NodeInfo {
-                    status: NodeStatus::Up,
-                    capacity: 1,
-                    rack: 0,
-                })
-                .collect(),
-            epoch: 0,
-        }
-    }
-
-    /// A homogeneous cluster of `n` nodes spread over `racks` racks in
-    /// contiguous blocks — the same layout as
-    /// [`crate::RackTopology::rack_of`].
-    pub fn with_racks(n: u32, racks: u32) -> Self {
-        let topo = crate::RackTopology::new(n, racks.max(1));
-        Self {
-            nodes: (0..n)
-                .map(|i| NodeInfo {
-                    status: NodeStatus::Up,
-                    capacity: 1,
-                    rack: topo.rack_of(rcmp_model::NodeId(i)),
-                })
-                .collect(),
+            nodes: vec![NodeStatus::Up; n as usize],
             epoch: 0,
         }
     }
@@ -121,11 +86,6 @@ impl Membership {
 
     /// Status of node `n`, if it is a member.
     pub fn status(&self, n: u32) -> Option<NodeStatus> {
-        self.nodes.get(n as usize).map(|i| i.status)
-    }
-
-    /// Full record of node `n`, if it is a member.
-    pub fn info(&self, n: u32) -> Option<NodeInfo> {
         self.nodes.get(n as usize).copied()
     }
 
@@ -154,35 +114,14 @@ impl Membership {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, i)| pred(i.status))
+            .filter(|(_, &status)| pred(status))
             .map(|(n, _)| n as u32)
             .collect()
     }
 
-    /// Capacity weights aligned position-for-position with `live` (a
-    /// node list such as [`Membership::schedulable`]). Unknown nodes
-    /// weigh 1.
-    pub fn caps_for(&self, live: &[u32]) -> Vec<u32> {
-        live.iter()
-            .map(|&n| self.info(n).map_or(1, |i| i.capacity.max(1)))
-            .collect()
-    }
-
-    /// Rack indices aligned position-for-position with `live`. Unknown
-    /// nodes land in rack 0.
-    pub fn racks_for(&self, live: &[u32]) -> Vec<u32> {
-        live.iter()
-            .map(|&n| self.info(n).map_or(0, |i| i.rack))
-            .collect()
-    }
-
     /// Adds a fresh node (Up) and returns its index. Bumps the epoch.
-    pub fn join(&mut self, capacity: u32, rack: u32) -> u32 {
-        self.nodes.push(NodeInfo {
-            status: NodeStatus::Up,
-            capacity: capacity.max(1),
-            rack,
-        });
+    pub fn join(&mut self) -> u32 {
+        self.nodes.push(NodeStatus::Up);
         self.epoch += 1;
         self.nodes.len() as u32 - 1
     }
@@ -234,18 +173,17 @@ impl Membership {
         to: NodeStatus,
         what: &str,
     ) -> Result<()> {
-        let Some(info) = self.nodes.get_mut(n as usize) else {
+        let Some(status) = self.nodes.get_mut(n as usize) else {
             return Err(Error::Config(format!(
                 "membership: {what} of unknown node {n}"
             )));
         };
-        if !from.contains(&info.status) {
+        if !from.contains(status) {
             return Err(Error::Config(format!(
-                "membership: cannot {what} node {n} in state {:?}",
-                info.status
+                "membership: cannot {what} node {n} in state {status:?}"
             )));
         }
-        info.status = to;
+        *status = to;
         self.epoch += 1;
         Ok(())
     }
@@ -274,7 +212,7 @@ mod tests {
         assert_eq!(m.epoch(), 3);
         assert_eq!(m.schedulable(), vec![0, 2]);
 
-        let new = m.join(4, 1);
+        let new = m.join();
         assert_eq!(new, 4);
         assert_eq!(m.epoch(), 4);
         assert_eq!(m.schedulable(), vec![0, 2, 4]);
@@ -293,23 +231,5 @@ mod tests {
         assert!(m.rejoin(0).is_err(), "dead nodes do not rejoin");
         assert!(m.drain(7).is_err(), "unknown node");
         assert_eq!(m.epoch(), 1, "failed transitions leave the epoch alone");
-    }
-
-    #[test]
-    fn caps_and_racks_align_with_live_list() {
-        let mut m = Membership::with_racks(6, 3);
-        m.join(4, 2);
-        m.drain(0).unwrap();
-        let live = m.schedulable();
-        assert_eq!(live, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(m.caps_for(&live), vec![1, 1, 1, 1, 1, 4]);
-        assert_eq!(m.racks_for(&live), vec![0, 1, 1, 2, 2, 2]);
-    }
-
-    #[test]
-    fn rack_layout_matches_rack_topology() {
-        let m = Membership::with_racks(10, 3); // 4+4+2 like RackTopology
-        let racks = m.racks_for(&m.schedulable());
-        assert_eq!(racks, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
     }
 }

@@ -4,15 +4,10 @@
 //! `Cluster`; the simulator over bare `u32`s in a `SimState`. The kernel
 //! only ever needs the *live* node list (survivors, in failure
 //! scenarios) and the per-phase slot counts, so that is all the trait
-//! asks for. The placement kernels additionally read per-position
-//! capacity and rack hints, defaulted to a homogeneous flat cluster so
-//! existing adapters keep working unchanged.
+//! asks for.
 //!
-//! [`RackTopology`] is the single source of truth for node→rack layout:
-//! `rcmp-dfs` re-exports it for replica placement, and
-//! [`crate::Membership::with_racks`] derives its rack vector from the
-//! same contiguous-block rule — the two representations that used to
-//! drift are now one struct.
+//! [`RackTopology`] is the single source of truth for node→rack layout;
+//! `rcmp-dfs` re-exports it for replica placement.
 
 use rcmp_model::NodeId;
 use serde::{Deserialize, Serialize};
@@ -37,19 +32,6 @@ pub trait TopologyView {
 
     /// Concurrent reduce tasks per node (§II's `SR`).
     fn reduce_slots(&self) -> u32;
-
-    /// Capacity weight of the node at position `pos` of
-    /// [`TopologyView::live_nodes`] (the capacity-weighted kernel's
-    /// slot multiplier). Defaults to 1 — a homogeneous cluster.
-    fn capacity_at(&self, _pos: usize) -> u32 {
-        1
-    }
-
-    /// Rack index of the node at position `pos` of
-    /// [`TopologyView::live_nodes`]. Defaults to 0 — a flat cluster.
-    fn rack_at(&self, _pos: usize) -> u32 {
-        0
-    }
 }
 
 /// A [`TopologyView`] over a plain slice of live nodes with uniform
@@ -91,72 +73,6 @@ impl<N: Copy + Eq + Ord + Debug> TopologyView for SliceTopology<'_, N> {
 
     fn reduce_slots(&self) -> u32 {
         self.reduce_slots
-    }
-}
-
-/// A [`TopologyView`] carrying per-position capacity and rack vectors
-/// alongside the live list — the adapter the placement kernels use when
-/// a [`crate::Membership`] is in play.
-///
-/// `caps` and `racks` are aligned position-for-position with `live`
-/// (see [`crate::Membership::caps_for`] / [`crate::Membership::racks_for`]);
-/// an empty slice means "uniform" (capacity 1 / rack 0 everywhere).
-#[derive(Clone, Copy, Debug)]
-pub struct KernelTopology<'a, N> {
-    live: &'a [N],
-    map_slots: u32,
-    reduce_slots: u32,
-    caps: &'a [u32],
-    racks: &'a [u32],
-}
-
-impl<'a, N: Copy + Eq + Ord + Debug> KernelTopology<'a, N> {
-    /// View over `live` with capacity/rack hints (empty = uniform).
-    pub fn new(
-        live: &'a [N],
-        map_slots: u32,
-        reduce_slots: u32,
-        caps: &'a [u32],
-        racks: &'a [u32],
-    ) -> Self {
-        debug_assert!(caps.is_empty() || caps.len() == live.len());
-        debug_assert!(racks.is_empty() || racks.len() == live.len());
-        Self {
-            live,
-            map_slots,
-            reduce_slots,
-            caps,
-            racks,
-        }
-    }
-
-    /// Uniform slot count for both phases.
-    pub fn uniform(live: &'a [N], slots: u32, caps: &'a [u32], racks: &'a [u32]) -> Self {
-        Self::new(live, slots, slots, caps, racks)
-    }
-}
-
-impl<N: Copy + Eq + Ord + Debug> TopologyView for KernelTopology<'_, N> {
-    type Node = N;
-
-    fn live_nodes(&self) -> Vec<N> {
-        self.live.to_vec()
-    }
-
-    fn map_slots(&self) -> u32 {
-        self.map_slots
-    }
-
-    fn reduce_slots(&self) -> u32 {
-        self.reduce_slots
-    }
-
-    fn capacity_at(&self, pos: usize) -> u32 {
-        self.caps.get(pos).copied().unwrap_or(1).max(1)
-    }
-
-    fn rack_at(&self, pos: usize) -> u32 {
-        self.racks.get(pos).copied().unwrap_or(0)
     }
 }
 
@@ -271,26 +187,6 @@ mod tests {
         let u = SliceTopology::uniform(&live, 3);
         assert_eq!(u.map_slots(), 3);
         assert_eq!(u.reduce_slots(), 3);
-        // Slice topologies are homogeneous and flat by default.
-        assert_eq!(u.capacity_at(0), 1);
-        assert_eq!(u.rack_at(2), 0);
-    }
-
-    #[test]
-    fn kernel_topology_carries_hints() {
-        let live = [0u32, 1, 2];
-        let caps = [2u32, 1, 4];
-        let racks = [0u32, 1, 1];
-        let t = KernelTopology::new(&live, 1, 2, &caps, &racks);
-        assert_eq!(t.live_nodes(), vec![0, 1, 2]);
-        assert_eq!(t.map_slots(), 1);
-        assert_eq!(t.reduce_slots(), 2);
-        assert_eq!(t.capacity_at(2), 4);
-        assert_eq!(t.rack_at(1), 1);
-        // Empty hint slices degrade to uniform/flat.
-        let u = KernelTopology::uniform(&live, 1, &[], &[]);
-        assert_eq!(u.capacity_at(1), 1);
-        assert_eq!(u.rack_at(1), 0);
     }
 
     #[test]

@@ -99,34 +99,6 @@ pub fn queues_to_waves<N: Copy>(
     waves
 }
 
-/// Like [`queues_to_waves`], but with per-node capacity weights: node
-/// `i` packs `slots × caps[i]` tasks per wave (the capacity-weighted
-/// kernel's heterogeneous slot model). An empty `caps` slice means
-/// uniform weight 1.
-pub fn queues_to_waves_weighted<N: Copy>(
-    queues: Vec<Vec<usize>>,
-    live: &[N],
-    slots: u32,
-    caps: &[u32],
-) -> WaveAssignment<N> {
-    let slots = slots.max(1) as usize;
-    let cap = |i: usize| caps.get(i).copied().unwrap_or(1).max(1) as usize;
-    let num_waves = queues
-        .iter()
-        .enumerate()
-        .map(|(i, q)| q.len().div_ceil(slots * cap(i)))
-        .max()
-        .unwrap_or(0);
-    let mut waves: WaveAssignment<N> = vec![Vec::new(); num_waves];
-    for (ni, queue) in queues.into_iter().enumerate() {
-        let per_wave = slots * cap(ni);
-        for (ti, task) in queue.into_iter().enumerate() {
-            waves[ti / per_wave].push((live[ni], task));
-        }
-    }
-    waves
-}
-
 /// Assigns map tasks to waves over the live nodes with Hadoop's
 /// slot-pull semantics: nodes claim tasks in rounds, each preferring a
 /// primary-local task, then any local task, then stealing. Balanced
@@ -134,40 +106,11 @@ pub fn queues_to_waves_weighted<N: Copy>(
 /// spreads over all nodes in one wave — the behaviours behind the
 /// paper's locality and hot-spot observations.
 ///
-/// Runs the [`PlacementKernel::Default`] kernel; see
-/// [`assign_map_waves_kernel`] for the pluggable variants.
-///
-/// Errors with [`Error::NoLiveNodes`] when the topology has no
-/// survivors left to place on.
-pub fn assign_map_waves<V, S>(
-    topo: &V,
-    tasks: &S,
-    ctx: PolicyCtx<'_>,
-) -> Result<WaveAssignment<V::Node>>
-where
-    V: TopologyView,
-    S: MapTaskSet<V::Node>,
-{
-    assign_map_waves_kernel(topo, tasks, PlacementKernel::Default, ctx)
-}
-
-/// Assigns map tasks to waves under the selected placement kernel.
-///
-/// All kernels share the round-based claim loop and the wave
+/// Both kernels share the round-based claim loop and the wave
 /// arithmetic; they differ in the claim rule:
 ///
 /// * [`PlacementKernel::Default`] — primary-local, then any local
-///   replica, then steal the oldest pending task (byte-identical to
-///   the historical [`assign_map_waves`]).
-/// * [`PlacementKernel::RackAware`] — like `Default`, but the steal
-///   fallback first looks for a task with a replica on any live node
-///   in the claimer's rack ([`TopologyView::rack_at`]).
-/// * [`PlacementKernel::Delay`] — a node with no local task skips its
-///   claim for up to `rounds` rounds before stealing (delay
-///   scheduling); a local launch resets its wait.
-/// * [`PlacementKernel::CapacityWeighted`] — node `i` claims
-///   [`TopologyView::capacity_at`]`(i)` tasks per round and packs
-///   `slots × capacity` tasks per wave.
+///   replica, then steal the oldest pending task.
 /// * [`PlacementKernel::Stable`] — partition-stable chain placement: a
 ///   node first claims a task whose input partition it holds in the
 ///   inter-job chain cache ([`MapTaskSet::cache_affine`]), then falls
@@ -178,7 +121,7 @@ where
 ///
 /// Errors with [`Error::NoLiveNodes`] when the topology has no
 /// survivors left to place on.
-pub fn assign_map_waves_kernel<V, S>(
+pub fn assign_map_waves<V, S>(
     topo: &V,
     tasks: &S,
     kernel: PlacementKernel,
@@ -192,126 +135,35 @@ where
     if live.is_empty() {
         return Err(Error::NoLiveNodes);
     }
+    let stable = kernel == PlacementKernel::Stable;
     let mut pending: Vec<usize> = (0..tasks.len()).collect();
     let mut queues: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
     let mut local = 0usize;
-
-    // Rack-aware steal fallback: one bitmask per task recording which
-    // racks hold a live replica (rack index folded mod 64), computed
-    // once in O(tasks × live) so each claim stays O(pending).
-    let rack_masks: Vec<u64> = if kernel == PlacementKernel::RackAware {
-        (0..tasks.len())
-            .map(|t| {
-                live.iter().enumerate().fold(0u64, |m, (j, &n)| {
-                    if tasks.holds_replica(t, n) {
-                        m | (1u64 << (topo.rack_at(j) % 64))
-                    } else {
-                        m
-                    }
+    while !pending.is_empty() {
+        for (i, &n) in live.iter().enumerate() {
+            if pending.is_empty() {
+                break;
+            }
+            let pos = stable
+                .then(|| pending.iter().position(|&t| tasks.cache_affine(t, n)))
+                .flatten()
+                .or_else(|| pending.iter().position(|&t| tasks.is_primary_holder(t, n)))
+                .or_else(|| pending.iter().position(|&t| tasks.holds_replica(t, n)))
+                .or_else(|| {
+                    stable
+                        .then(|| pending.iter().position(|&t| !tasks.has_cache_affinity(t)))
+                        .flatten()
                 })
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    let mut claim =
-        |queues: &mut Vec<Vec<usize>>, pending: &mut Vec<usize>, i: usize, pos: usize| {
+                .unwrap_or(0);
             let t = pending.remove(pos);
-            if tasks.holds_replica(t, live[i]) {
+            if tasks.holds_replica(t, n) {
                 local += 1;
             }
             queues[i].push(t);
-        };
-
-    match kernel {
-        PlacementKernel::Default | PlacementKernel::RackAware => {
-            while !pending.is_empty() {
-                for (i, &n) in live.iter().enumerate() {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let rack_bit = 1u64 << (topo.rack_at(i) % 64);
-                    let pos = pending
-                        .iter()
-                        .position(|&t| tasks.is_primary_holder(t, n))
-                        .or_else(|| pending.iter().position(|&t| tasks.holds_replica(t, n)))
-                        .or_else(|| {
-                            if kernel == PlacementKernel::RackAware {
-                                pending.iter().position(|&t| rack_masks[t] & rack_bit != 0)
-                            } else {
-                                None
-                            }
-                        })
-                        .unwrap_or(0);
-                    claim(&mut queues, &mut pending, i, pos);
-                }
-            }
-        }
-        PlacementKernel::Stable => {
-            while !pending.is_empty() {
-                for (i, &n) in live.iter().enumerate() {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let pos = pending
-                        .iter()
-                        .position(|&t| tasks.cache_affine(t, n))
-                        .or_else(|| pending.iter().position(|&t| tasks.is_primary_holder(t, n)))
-                        .or_else(|| pending.iter().position(|&t| tasks.holds_replica(t, n)))
-                        .or_else(|| pending.iter().position(|&t| !tasks.has_cache_affinity(t)))
-                        .unwrap_or(0);
-                    claim(&mut queues, &mut pending, i, pos);
-                }
-            }
-        }
-        PlacementKernel::Delay { rounds } => {
-            let mut waited = vec![0u32; live.len()];
-            while !pending.is_empty() {
-                for (i, &n) in live.iter().enumerate() {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let pos = pending
-                        .iter()
-                        .position(|&t| tasks.is_primary_holder(t, n))
-                        .or_else(|| pending.iter().position(|&t| tasks.holds_replica(t, n)));
-                    match pos {
-                        Some(p) => {
-                            waited[i] = 0;
-                            claim(&mut queues, &mut pending, i, p);
-                        }
-                        None if waited[i] < rounds => waited[i] += 1,
-                        None => claim(&mut queues, &mut pending, i, 0),
-                    }
-                }
-            }
-        }
-        PlacementKernel::CapacityWeighted => {
-            while !pending.is_empty() {
-                for (i, &n) in live.iter().enumerate() {
-                    for _ in 0..topo.capacity_at(i).max(1) {
-                        if pending.is_empty() {
-                            break;
-                        }
-                        let pos = pending
-                            .iter()
-                            .position(|&t| tasks.is_primary_holder(t, n))
-                            .or_else(|| pending.iter().position(|&t| tasks.holds_replica(t, n)))
-                            .unwrap_or(0);
-                        claim(&mut queues, &mut pending, i, pos);
-                    }
-                }
-            }
         }
     }
 
-    let waves = if kernel == PlacementKernel::CapacityWeighted {
-        let caps: Vec<u32> = (0..live.len()).map(|i| topo.capacity_at(i)).collect();
-        queues_to_waves_weighted(queues, &live, topo.map_slots(), &caps)
-    } else {
-        queues_to_waves(queues, &live, topo.map_slots())
-    };
+    let waves = queues_to_waves(queues, &live, topo.map_slots());
     ctx.emit(format!(
         "policy.map_waves tasks={} nodes={} slots={} waves={} local={} kernel={}",
         tasks.len(),
@@ -328,8 +180,9 @@ where
 /// by partition (initial runs) or shortest-queue balanced (recompute
 /// runs — splits of one partition spread over all survivors, Fig. 4b).
 ///
-/// Runs the [`PlacementKernel::Default`] kernel; see
-/// [`assign_reduce_waves_kernel`] for the pluggable variants.
+/// Reducers consume *every* mapper's output, so there is no locality
+/// to chase and no placement kernel to select: both kernels place
+/// reducers identically.
 ///
 /// Errors with [`Error::NoLiveNodes`] when the topology has no
 /// survivors left to place on.
@@ -343,62 +196,15 @@ where
     V: TopologyView,
     S: ReduceTaskSet,
 {
-    assign_reduce_waves_kernel(topo, tasks, style, PlacementKernel::Default, ctx)
-}
-
-/// Assigns reduce tasks to waves under the selected placement kernel.
-///
-/// Reducers consume *every* mapper's output, so rack and delay
-/// preferences have no data to chase: [`PlacementKernel::RackAware`]
-/// and [`PlacementKernel::Delay`] behave exactly like `Default` here.
-/// [`PlacementKernel::CapacityWeighted`] balances by *weighted* queue
-/// depth (`len / capacity`, compared exactly via cross-multiplication)
-/// and packs `slots × capacity` tasks per wave.
-///
-/// Errors with [`Error::NoLiveNodes`] when the topology has no
-/// survivors left to place on.
-pub fn assign_reduce_waves_kernel<V, S>(
-    topo: &V,
-    tasks: &S,
-    style: ReduceAssignment,
-    kernel: PlacementKernel,
-    ctx: PolicyCtx<'_>,
-) -> Result<WaveAssignment<V::Node>>
-where
-    V: TopologyView,
-    S: ReduceTaskSet,
-{
     let live = topo.live_nodes();
     if live.is_empty() {
         return Err(Error::NoLiveNodes);
     }
-    let weighted = kernel == PlacementKernel::CapacityWeighted;
     let mut queues: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
     match style {
         ReduceAssignment::RoundRobinByPartition => {
             for t in 0..tasks.len() {
                 queues[tasks.partition_index(t) % live.len()].push(t);
-            }
-        }
-        ReduceAssignment::Balance if weighted => {
-            for t in 0..tasks.len() {
-                // argmin of len/capacity without floats: len_i·cap_b <
-                // len_b·cap_i ⇔ node i is less loaded per unit weight.
-                let mut best = 0usize;
-                for i in 1..queues.len() {
-                    let (li, ci) = (
-                        queues[i].len() as u64,
-                        u64::from(topo.capacity_at(i).max(1)),
-                    );
-                    let (lb, cb) = (
-                        queues[best].len() as u64,
-                        u64::from(topo.capacity_at(best).max(1)),
-                    );
-                    if li * cb < lb * ci {
-                        best = i;
-                    }
-                }
-                queues[best].push(t);
             }
         }
         ReduceAssignment::Balance => {
@@ -412,19 +218,13 @@ where
             }
         }
     }
-    let waves = if weighted {
-        let caps: Vec<u32> = (0..live.len()).map(|i| topo.capacity_at(i)).collect();
-        queues_to_waves_weighted(queues, &live, topo.reduce_slots(), &caps)
-    } else {
-        queues_to_waves(queues, &live, topo.reduce_slots())
-    };
+    let waves = queues_to_waves(queues, &live, topo.reduce_slots());
     ctx.emit(format!(
-        "policy.reduce_waves style={style:?} tasks={} nodes={} slots={} waves={} kernel={}",
+        "policy.reduce_waves style={style:?} tasks={} nodes={} slots={} waves={}",
         tasks.len(),
         live.len(),
         topo.reduce_slots(),
         waves.len(),
-        kernel.label(),
     ));
     Ok(waves)
 }
@@ -433,7 +233,7 @@ where
 mod tests {
     use super::*;
     use crate::tasks::{FnMapTasks, FnReduceTasks};
-    use crate::topology::{KernelTopology, SliceTopology};
+    use crate::topology::SliceTopology;
 
     fn nodes(n: u32) -> Vec<u32> {
         (0..n).collect()
@@ -457,7 +257,13 @@ mod tests {
         let layout: Vec<Vec<u32>> = (0..4u32).map(|i| vec![i]).collect();
         let live = nodes(4);
         let topo = SliceTopology::uniform(&live, 1);
-        let waves = assign_map_waves(&topo, &layout_tasks(&layout), PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            &topo,
+            &layout_tasks(&layout),
+            PlacementKernel::Default,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         assert_eq!(waves.len(), 1);
         for &(node, task) in &waves[0] {
             assert!(
@@ -473,7 +279,13 @@ mod tests {
         let layout: Vec<Vec<u32>> = (0..3).map(|_| vec![0u32]).collect();
         let live = nodes(4);
         let topo = SliceTopology::uniform(&live, 1);
-        let waves = assign_map_waves(&topo, &layout_tasks(&layout), PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            &topo,
+            &layout_tasks(&layout),
+            PlacementKernel::Default,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         // All three run in a single wave on three different nodes.
         assert_eq!(waves.len(), 1);
         let used: std::collections::HashSet<u32> = waves[0].iter().map(|&(n, _)| n).collect();
@@ -485,7 +297,13 @@ mod tests {
         let layout: Vec<Vec<u32>> = (0..8).map(|_| Vec::new()).collect();
         let live = nodes(2);
         let topo = SliceTopology::uniform(&live, 2);
-        let waves = assign_map_waves(&topo, &layout_tasks(&layout), PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            &topo,
+            &layout_tasks(&layout),
+            PlacementKernel::Default,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         // 8 tasks / (2 nodes * 2 slots) = 2 waves.
         assert_eq!(waves.len(), 2);
         for wave in &waves {
@@ -505,7 +323,13 @@ mod tests {
         let layout: Vec<Vec<u32>> = vec![vec![1, 0], vec![0, 1]];
         let live = nodes(2);
         let topo = SliceTopology::uniform(&live, 1);
-        let waves = assign_map_waves(&topo, &layout_tasks(&layout), PolicyCtx::disabled()).unwrap();
+        let waves = assign_map_waves(
+            &topo,
+            &layout_tasks(&layout),
+            PlacementKernel::Default,
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         assert_eq!(waves.len(), 1);
         for &(node, task) in &waves[0] {
             assert_eq!(layout[task][0], node, "each task on its primary holder");
@@ -517,14 +341,14 @@ mod tests {
         let layout: Vec<Vec<u32>> = vec![vec![1, 0], vec![0, 1], vec![2], vec![3], vec![0]];
         let live = nodes(4);
         let topo = SliceTopology::uniform(&live, 2);
-        let default = assign_map_waves_kernel(
+        let default = assign_map_waves(
             &topo,
             &layout_tasks(&layout),
             PlacementKernel::Default,
             PolicyCtx::disabled(),
         )
         .unwrap();
-        let stable = assign_map_waves_kernel(
+        let stable = assign_map_waves(
             &topo,
             &layout_tasks(&layout),
             PlacementKernel::Stable,
@@ -545,7 +369,7 @@ mod tests {
             crate::tasks::CacheAffinity::new(layout_tasks(&layout), |t: usize| Some(cached[t]));
         let live = nodes(4);
         let topo = SliceTopology::uniform(&live, 1);
-        let waves = assign_map_waves_kernel(
+        let waves = assign_map_waves(
             &topo,
             &tasks,
             PlacementKernel::Stable,
@@ -572,7 +396,7 @@ mod tests {
         let tasks = crate::tasks::CacheAffinity::new(layout_tasks(&layout), |t: usize| cached[t]);
         let live = nodes(2);
         let topo = SliceTopology::uniform(&live, 2);
-        let waves = assign_map_waves_kernel(
+        let waves = assign_map_waves(
             &topo,
             &tasks,
             PlacementKernel::Stable,
@@ -664,11 +488,14 @@ mod tests {
         let live = nodes(2);
         let topo = SliceTopology::uniform(&live, 1);
         let maps: Vec<Vec<u32>> = Vec::new();
-        assert!(
-            assign_map_waves(&topo, &layout_tasks(&maps), PolicyCtx::disabled())
-                .unwrap()
-                .is_empty()
-        );
+        assert!(assign_map_waves(
+            &topo,
+            &layout_tasks(&maps),
+            PlacementKernel::Default,
+            PolicyCtx::disabled()
+        )
+        .unwrap()
+        .is_empty());
         let reds = FnReduceTasks::new(0, |t| t);
         assert!(assign_reduce_waves(
             &topo,
@@ -686,7 +513,13 @@ mod tests {
         let topo = SliceTopology::uniform(&live, 1);
         let maps: Vec<Vec<u32>> = vec![vec![0]];
         assert_eq!(
-            assign_map_waves(&topo, &layout_tasks(&maps), PolicyCtx::disabled()).unwrap_err(),
+            assign_map_waves(
+                &topo,
+                &layout_tasks(&maps),
+                PlacementKernel::Default,
+                PolicyCtx::disabled()
+            )
+            .unwrap_err(),
             rcmp_model::Error::NoLiveNodes
         );
         let reds = FnReduceTasks::new(1, |_| 0);
@@ -703,182 +536,18 @@ mod tests {
     }
 
     #[test]
-    fn default_kernel_matches_historical_assignment() {
-        // The kernel-parameterized entry point with `Default` must be
-        // byte-identical to the original implementation.
-        let layouts: Vec<Vec<Vec<u32>>> = vec![
-            (0..6u32).map(|i| vec![i % 4]).collect(),
-            (0..5).map(|_| vec![0u32]).collect(),
-            vec![vec![1, 0], vec![0, 1], vec![], vec![3]],
-        ];
-        let live = nodes(4);
-        for layout in &layouts {
-            let topo = SliceTopology::uniform(&live, 1);
-            let a = assign_map_waves(&topo, &layout_tasks(layout), PolicyCtx::disabled()).unwrap();
-            let b = assign_map_waves_kernel(
-                &topo,
-                &layout_tasks(layout),
-                PlacementKernel::Default,
-                PolicyCtx::disabled(),
-            )
-            .unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn rack_aware_steal_prefers_rack_local_task() {
-        // Nodes 0,1 in rack 0; node 2 in rack 1. Task 0 lives on node 2
-        // (rack 1), task 1 on node 1 (rack 0). Node 0 claims first and
-        // has nothing local: the default kernel steals the oldest
-        // pending task (0); the rack-aware kernel prefers task 1, whose
-        // replica sits in its own rack.
-        let live = nodes(3);
-        let racks = [0u32, 0, 1];
-        let layout: Vec<Vec<u32>> = vec![vec![2], vec![1]];
-        let topo = KernelTopology::uniform(&live, 1, &[], &racks);
-        let default = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::Default,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert!(default[0].contains(&(0, 0)), "default steals task 0");
-        let rack = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::RackAware,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert!(
-            rack[0].contains(&(0, 1)),
-            "rack-aware steals in-rack: {rack:?}"
-        );
-        assert!(
-            rack[0].contains(&(1, 0)),
-            "task 0 falls to node 1: {rack:?}"
-        );
-    }
-
-    #[test]
-    fn delay_kernel_waits_for_local_work() {
-        // One task, local only to node 1. Default: node 0 (first in
-        // claim order) steals it remotely. Delay(1): node 0 waits a
-        // round and node 1 launches it locally.
-        let live = nodes(2);
-        let layout: Vec<Vec<u32>> = vec![vec![1]];
-        let topo = SliceTopology::uniform(&live, 1);
-        let default = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::Default,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(default[0], vec![(0, 0)], "default steals remotely");
-        let delay = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::Delay { rounds: 1 },
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(delay[0], vec![(1, 0)], "delayed claim lands local");
-        // rounds = 0 degenerates to the default steal behaviour.
-        let zero = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::Delay { rounds: 0 },
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(zero, default);
-    }
-
-    #[test]
-    fn delay_kernel_terminates_on_fully_remote_work() {
-        // No task is local anywhere: every node waits out its budget,
-        // then steals — assignment completes and covers all tasks.
-        let live = nodes(3);
-        let layout: Vec<Vec<u32>> = (0..5).map(|_| Vec::new()).collect();
-        let topo = SliceTopology::uniform(&live, 1);
-        let waves = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::Delay { rounds: 4 },
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        let total: usize = waves.iter().map(Vec::len).sum();
-        assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn capacity_weighted_packs_big_nodes_harder() {
-        // Node 1 weighs 3×: of 8 location-free tasks it claims 6 and
-        // packs 3 per wave, so the whole job fits 2 waves where the
-        // default kernel needs 4.
-        let live = nodes(2);
-        let caps = [1u32, 3];
-        let layout: Vec<Vec<u32>> = (0..8).map(|_| Vec::new()).collect();
-        let topo = KernelTopology::uniform(&live, 1, &caps, &[]);
-        let waves = assign_map_waves_kernel(
-            &topo,
-            &layout_tasks(&layout),
-            PlacementKernel::CapacityWeighted,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(waves.len(), 2, "{waves:?}");
-        let on_big: usize = waves.iter().flatten().filter(|&&(n, _)| n == 1).count();
-        assert_eq!(on_big, 6);
-        for wave in &waves {
-            let mut per = std::collections::HashMap::new();
-            for &(n, _) in wave {
-                *per.entry(n).or_insert(0u32) += 1;
-            }
-            assert!(per.get(&0).copied().unwrap_or(0) <= 1);
-            assert!(per.get(&1).copied().unwrap_or(0) <= 3);
-        }
-    }
-
-    #[test]
-    fn capacity_weighted_balance_is_weighted_shortest_queue() {
-        let live = nodes(2);
-        let caps = [1u32, 3];
-        let topo = KernelTopology::uniform(&live, 1, &caps, &[]);
-        let tasks = FnReduceTasks::new(8, |_| 0);
-        let waves = assign_reduce_waves_kernel(
-            &topo,
-            &tasks,
-            ReduceAssignment::Balance,
-            PlacementKernel::CapacityWeighted,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        let on_big: usize = waves.iter().flatten().filter(|&&(n, _)| n == 1).count();
-        assert_eq!(on_big, 6, "weighted balance loads the 3× node 3× harder");
-    }
-
-    #[test]
-    fn weighted_waves_degrade_to_uniform_without_caps() {
-        let queues = vec![vec![0usize, 2], vec![1, 3, 4]];
-        let live = [10u32, 11];
-        assert_eq!(
-            queues_to_waves_weighted(queues.clone(), &live, 1, &[]),
-            queues_to_waves(queues, &live, 1)
-        );
-    }
-
-    #[test]
     fn decision_spans_emitted_when_traced() {
         let tracer = Tracer::new();
         let layout: Vec<Vec<u32>> = vec![vec![0], vec![1]];
         let live = nodes(2);
         let topo = SliceTopology::uniform(&live, 1);
-        assign_map_waves(&topo, &layout_tasks(&layout), PolicyCtx::new(&tracer, None)).unwrap();
+        assign_map_waves(
+            &topo,
+            &layout_tasks(&layout),
+            PlacementKernel::Default,
+            PolicyCtx::new(&tracer, None),
+        )
+        .unwrap();
         let reds = FnReduceTasks::new(2, |t| t);
         assign_reduce_waves(
             &topo,

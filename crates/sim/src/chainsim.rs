@@ -16,7 +16,7 @@ use crate::workload::WorkloadCfg;
 use rcmp_core::strategy::{HotspotMitigation, SplitPolicy, Strategy};
 use rcmp_model::rng::derive_indexed;
 use rcmp_model::{ChainCacheConfig, PlacementKernel, RetryPolicy};
-use rcmp_policy::{choose_mitigation, AdaptivePolicy, FaultObserver, Membership};
+use rcmp_policy::{choose_mitigation, AdaptivePolicy, FaultObserver};
 use std::collections::BTreeSet;
 
 /// One scripted failure: kill `node` `offset` seconds into run `seq`
@@ -57,9 +57,6 @@ pub struct ChainSimConfig {
     pub seed: u64,
     /// Placement kernel, mirroring `ClusterConfig::placement`.
     pub placement: PlacementKernel,
-    /// Optional initial membership (racks, heterogeneous capacities).
-    /// `None` = uniform over `wl.nodes`.
-    pub membership: Option<Membership>,
     /// Inter-job chain cache, mirroring `ClusterConfig::chain_cache`:
     /// when enabled, each job's reducer outputs stay memory-resident
     /// (within the budget) for the next job's mappers.
@@ -76,7 +73,6 @@ impl ChainSimConfig {
             retry: RetryPolicy::default(),
             seed: 0,
             placement: PlacementKernel::Default,
-            membership: None,
             chain_cache: ChainCacheConfig::default(),
         }
     }
@@ -96,13 +92,6 @@ impl ChainSimConfig {
     /// Selects the placement kernel every run schedules with.
     pub fn with_placement(mut self, kernel: PlacementKernel) -> Self {
         self.placement = kernel;
-        self
-    }
-
-    /// Starts the chain from an explicit membership (racked or
-    /// heterogeneous) instead of a uniform one. Must cover `wl.nodes`.
-    pub fn with_membership(mut self, membership: Membership) -> Self {
-        self.membership = Some(membership);
         self
     }
 
@@ -146,9 +135,6 @@ enum RunOutcome {
 impl<'a> Runner<'a> {
     fn new(cfg: &'a ChainSimConfig) -> Self {
         let mut state = SimState::new(&cfg.wl);
-        if let Some(m) = &cfg.membership {
-            state.set_membership(m.clone());
-        }
         if cfg.chain_cache.enabled {
             state.enable_chain_cache(cfg.chain_cache.budget.as_u64());
         }
@@ -644,6 +630,34 @@ mod tests {
                 .filter(|e| matches!(e, SimEvent::FailureDetected { .. }))
                 .count(),
             2
+        );
+    }
+
+    #[test]
+    fn thousand_node_chain_completes_clean_and_after_a_kill() {
+        // 1000 nodes at full width, the chain shortened to two jobs:
+        // both runs must finish, and the kill must cost time.
+        let wl = WorkloadCfg {
+            nodes: 1000,
+            slots: SlotConfig::ONE_ONE,
+            jobs: 2,
+            per_node_input: ByteSize::mib(128),
+            block_size: ByteSize::mib(128),
+            num_reducers: 1000,
+            map_ratio: 1.0,
+            reduce_ratio: 1.0,
+            input_replication: 3,
+        };
+        let base = ChainSimConfig::new(HwProfile::stic(), wl, Strategy::rcmp_split(4));
+        let clean = simulate_chain(&base);
+        let failed = simulate_chain(&base.with_failures(vec![FailureAt::at_job(2, 5)]));
+        assert_eq!(clean.jobs_started, 2);
+        assert!(failed.jobs_started > 2, "the kill forces recomputation");
+        assert!(
+            failed.total_time > clean.total_time,
+            "{} !> {}",
+            failed.total_time,
+            clean.total_time
         );
     }
 }

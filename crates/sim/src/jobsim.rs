@@ -21,7 +21,7 @@
 
 use crate::hw::HwProfile;
 use crate::report::SimJobReport;
-use crate::sched::{assign_map_waves_kernel, assign_reduce_waves_kernel};
+use crate::sched::{assign_map_waves, assign_reduce_waves};
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
 use crate::state::{MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
@@ -161,10 +161,11 @@ impl JobSim {
         let input_file = job - 1;
         let block = wl.block_size.as_u64();
         let live = state.live_nodes();
-        // A membership snapshot for this run's scheduling decisions —
-        // mid-run transitions (none today) would only affect later runs,
-        // matching the engine's snapshot-per-phase behaviour.
-        let membership = state.membership().clone();
+        // The run consumes its input: refresh the input's cache recency,
+        // as the engine tracker's input pin does at every run start.
+        if let Some(c) = state.chain_cache.as_mut() {
+            c.touch_file(input_file);
+        }
         let ctx = PolicyCtx::maybe(self.tracer.as_deref(), None);
 
         let mut report = SimJobReport {
@@ -224,12 +225,11 @@ impl JobSim {
             })
             .collect();
         let stable = self.placement == PlacementKernel::Stable;
-        let waves = assign_map_waves_kernel(
+        let waves = assign_map_waves(
             to_run.len(),
             &live,
             wl.slots.map,
             self.placement,
-            &membership,
             |ti, n| !noncol && all_tasks[to_run[ti]].holders.first() == Some(&n),
             |ti, n| !noncol && all_tasks[to_run[ti]].holders.contains(&n),
             |ti| if stable { cache_src[ti] } else { None },
@@ -430,13 +430,11 @@ impl JobSim {
             None => ReduceAssignment::RoundRobinByPartition,
             Some(_) => ReduceAssignment::Balance,
         };
-        let r_waves = assign_reduce_waves_kernel(
+        let r_waves = assign_reduce_waves(
             reduce_tasks.len(),
             &live,
             wl.slots.reduce,
             r_style,
-            self.placement,
-            &membership,
             |t| reduce_tasks[t].0 as usize,
             ctx,
         )?;

@@ -5,30 +5,40 @@
 use crate::state::Node;
 use rcmp_model::{PlacementKernel, Result};
 use rcmp_policy::{
-    CacheAffinity, FnMapTasks, FnReduceTasks, KernelTopology, Membership, PolicyCtx,
-    ReduceAssignment, SliceTopology,
+    CacheAffinity, FnMapTasks, FnReduceTasks, PolicyCtx, ReduceAssignment, SliceTopology,
 };
 
-/// Assigns tasks with Hadoop's slot-pull semantics: nodes claim tasks in
-/// rounds, preferring a task whose *primary* replica they hold (the
-/// writer-local copy), then any task whose data they hold, then stealing
-/// a non-local task. Returns `(node, task_index)` per wave given `slots`
-/// per node; `Err(NoLiveNodes)` if the cluster is fully dead.
-pub fn assign_map_waves<P, Q>(
+/// Assigns tasks with Hadoop's slot-pull semantics under the selected
+/// placement kernel: nodes claim tasks in rounds, preferring a task
+/// whose *primary* replica they hold (the writer-local copy), then any
+/// task whose data they hold, then stealing a non-local task. Returns
+/// `(node, task_index)` per wave given `slots` per node;
+/// `Err(NoLiveNodes)` if the cluster is fully dead.
+///
+/// `cached` is the chain-cache affinity map: `cached(t)` names the node
+/// holding task `t`'s input partition in memory, if any. Only the
+/// `Stable` kernel consults it; pass `|_| None` when the cache is off
+/// (both kernels then place identically) — the same contract as the
+/// engine scheduler's `cached` slice.
+#[allow(clippy::too_many_arguments)]
+pub fn assign_map_waves<P, Q, C>(
     num_tasks: usize,
     live: &[Node],
     slots: u32,
+    kernel: PlacementKernel,
     primary: Q,
     prefers: P,
+    cached: C,
     ctx: PolicyCtx<'_>,
 ) -> Result<Vec<Vec<(Node, usize)>>>
 where
     P: Fn(usize, Node) -> bool,
     Q: Fn(usize, Node) -> bool,
+    C: Fn(usize) -> Option<Node>,
 {
     let topo = SliceTopology::uniform(live, slots);
-    let tasks = FnMapTasks::new(num_tasks, primary, prefers);
-    rcmp_policy::assign_map_waves(&topo, &tasks, ctx)
+    let tasks = CacheAffinity::new(FnMapTasks::new(num_tasks, primary, prefers), cached);
+    rcmp_policy::assign_map_waves(&topo, &tasks, kernel, ctx)
 }
 
 /// Assigns reducers by the requested style: `RoundRobinByPartition` for
@@ -45,65 +55,9 @@ pub fn assign_reduce_waves<K>(
 where
     K: Fn(usize) -> usize,
 {
-    let topo = SliceTopology::new(live, slots, slots);
+    let topo = SliceTopology::uniform(live, slots);
     let tasks = FnReduceTasks::new(num_tasks, key);
     rcmp_policy::assign_reduce_waves(&topo, &tasks, style, ctx)
-}
-
-/// Kernel-selectable variant of [`assign_map_waves`]: capacity and rack
-/// hints come from the membership, aligned with `live` — the same
-/// plumbing `rcmp-engine`'s scheduler does, so both backends hand the
-/// policy kernel byte-identical inputs. `PlacementKernel::Default`
-/// reproduces [`assign_map_waves`] exactly.
-/// `cached` is the chain-cache affinity map: `cached(t)` names the node
-/// holding task `t`'s input partition in memory, if any. Only the
-/// `Stable` kernel consults it; pass `|_| None` when the cache is off
-/// (every kernel then behaves exactly as before the cache existed) —
-/// the same contract as the engine scheduler's `cached` slice.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_map_waves_kernel<P, Q, C>(
-    num_tasks: usize,
-    live: &[Node],
-    slots: u32,
-    kernel: PlacementKernel,
-    membership: &Membership,
-    primary: Q,
-    prefers: P,
-    cached: C,
-    ctx: PolicyCtx<'_>,
-) -> Result<Vec<Vec<(Node, usize)>>>
-where
-    P: Fn(usize, Node) -> bool,
-    Q: Fn(usize, Node) -> bool,
-    C: Fn(usize) -> Option<Node>,
-{
-    let caps = membership.caps_for(live);
-    let racks = membership.racks_for(live);
-    let topo = KernelTopology::uniform(live, slots, &caps, &racks);
-    let tasks = CacheAffinity::new(FnMapTasks::new(num_tasks, primary, prefers), cached);
-    rcmp_policy::assign_map_waves_kernel(&topo, &tasks, kernel, ctx)
-}
-
-/// Kernel-selectable variant of [`assign_reduce_waves`].
-#[allow(clippy::too_many_arguments)]
-pub fn assign_reduce_waves_kernel<K>(
-    num_tasks: usize,
-    live: &[Node],
-    slots: u32,
-    style: ReduceAssignment,
-    kernel: PlacementKernel,
-    membership: &Membership,
-    key: K,
-    ctx: PolicyCtx<'_>,
-) -> Result<Vec<Vec<(Node, usize)>>>
-where
-    K: Fn(usize) -> usize,
-{
-    let caps = membership.caps_for(live);
-    let racks = membership.racks_for(live);
-    let topo = KernelTopology::new(live, slots, slots, &caps, &racks);
-    let tasks = FnReduceTasks::new(num_tasks, key);
-    rcmp_policy::assign_reduce_waves_kernel(&topo, &tasks, style, kernel, ctx)
 }
 
 #[cfg(test)]
@@ -117,8 +71,10 @@ mod tests {
             8,
             &live,
             1,
+            PlacementKernel::Default,
             |_, _| false,
             |_, _| false,
+            |_| None,
             PolicyCtx::disabled(),
         )
         .unwrap();
@@ -135,8 +91,10 @@ mod tests {
             4,
             &live,
             1,
+            PlacementKernel::Default,
             |_, _| false,
             |_, n| n == 2,
+            |_| None,
             PolicyCtx::disabled(),
         )
         .unwrap();
@@ -168,62 +126,14 @@ mod tests {
             0,
             &live,
             1,
+            PlacementKernel::Default,
             |_, _| false,
             |_, _| false,
+            |_| None,
             PolicyCtx::disabled()
         )
         .unwrap()
         .is_empty());
-    }
-
-    #[test]
-    fn default_kernel_matches_plain_adapter() {
-        let live: Vec<Node> = (0..4).collect();
-        let m = Membership::uniform(4);
-        let plain = assign_map_waves(
-            8,
-            &live,
-            1,
-            |_, _| false,
-            |_, n| n == 1,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        let kernel = assign_map_waves_kernel(
-            8,
-            &live,
-            1,
-            PlacementKernel::Default,
-            &m,
-            |_, _| false,
-            |_, n| n == 1,
-            |_| None,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(plain, kernel);
-    }
-
-    #[test]
-    fn capacity_kernel_reads_membership_caps() {
-        let mut m = Membership::uniform(1);
-        m.join(3, 0);
-        let live = m.schedulable();
-        let waves = assign_map_waves_kernel(
-            8,
-            &live,
-            1,
-            PlacementKernel::CapacityWeighted,
-            &m,
-            |_, _| false,
-            |_, _| false,
-            |_| None,
-            PolicyCtx::disabled(),
-        )
-        .unwrap();
-        assert_eq!(waves.len(), 2, "3+1 capacity drains 8 tasks in 2 waves");
-        let on_big = waves.iter().flatten().filter(|(n, _)| *n == 1).count();
-        assert_eq!(on_big, 6);
     }
 
     #[test]
@@ -233,8 +143,10 @@ mod tests {
             3,
             &live,
             1,
+            PlacementKernel::Default,
             |_, _| false,
             |_, _| false,
+            |_| None,
             PolicyCtx::disabled(),
         )
         .unwrap_err();

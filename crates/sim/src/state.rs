@@ -124,6 +124,17 @@ impl SimChainCache {
             .insert(pid, (holder, bytes));
     }
 
+    /// Marks `file`'s entries most recently used, as the engine's
+    /// `ChainCache::pin_file` does when a run starts consuming the file:
+    /// every entry of the file takes one fresh recency stamp.
+    pub fn touch_file(&mut self, file: FileId) {
+        self.seq += 1;
+        let seq = self.seq;
+        for (_, (_, _, s)) in self.entries.range_mut((file, 0)..(file + 1, 0)) {
+            *s = seq;
+        }
+    }
+
     /// Admits the staged partitions of `file` in ascending partition
     /// order, evicting least-recently-admitted unpinned entries on
     /// pressure. `pinned` (the consuming run's input file) is never
@@ -292,21 +303,9 @@ impl SimState {
         self.chain_cache.as_ref().and_then(|c| c.holder(file, pid))
     }
 
-    /// Current membership snapshot (statuses, capacities, racks, epoch).
+    /// Current membership snapshot (statuses and epoch).
     pub fn membership(&self) -> &Membership {
         &self.membership
-    }
-
-    /// Replaces the membership wholesale — for heterogeneous or racked
-    /// simulations built before any data movement happened. The new
-    /// view must cover every node that holds data.
-    pub fn set_membership(&mut self, membership: Membership) {
-        assert!(
-            membership.len() >= self.membership.len(),
-            "membership must cover all {} existing nodes",
-            self.membership.len()
-        );
-        self.membership = membership;
     }
 
     /// True while the node's data remains readable (Up | Draining).
@@ -350,8 +349,8 @@ impl SimState {
 
     /// Adds a fresh empty node (Up) and returns its index. It becomes a
     /// placement target immediately; it holds no data yet.
-    pub fn join_node(&mut self, capacity: u32, rack: u32) -> Node {
-        self.membership.join(capacity, rack)
+    pub fn join_node(&mut self) -> Node {
+        self.membership.join()
     }
 
     /// Starts draining a node: no new tasks or replicas land on it, but
@@ -774,7 +773,7 @@ mod tests {
     #[test]
     fn join_grows_the_placement_pool() {
         let mut s = SimState::new(&wl());
-        let n = s.join_node(2, 1);
+        let n = s.join_node();
         assert_eq!(n, 4);
         assert!(s.live_nodes().contains(&4));
         s.rewrite_partition(

@@ -3,24 +3,16 @@
 use rcmp_engine::{
     Cluster, JobRun, JobTracker, NoFailures, RecomputeInstructions, ScriptedInjector, TriggerPoint,
 };
-use rcmp_model::{ClusterConfig, Error, NodeId, PartitionId, SlotConfig};
+use rcmp_model::{ClusterConfig, Error, NodeId, PartitionId};
 use rcmp_workloads::checksum::digest_file;
 use rcmp_workloads::{generate_input, ChainBuilder, DataGenConfig, OutputDigest};
 use std::sync::Arc;
 
 fn test_cluster(nodes: u32) -> Cluster {
     let cfg = ClusterConfig {
-        nodes,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp_model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: rcmp_model::ExecutorConfig::default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 42,
+        ..ClusterConfig::small_test(nodes)
     };
     Cluster::new(cfg)
 }

@@ -9,7 +9,7 @@
 use rcmp::core::{ChainDriver, Strategy};
 use rcmp::engine::failure::Fault;
 use rcmp::engine::{Cluster, RandomizedInjector, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ByteSize, ClusterConfig, Error, ExecutorConfig, NodeId, SlotConfig};
+use rcmp::model::{ByteSize, ClusterConfig, Error, ExecutorConfig, NodeId};
 use rcmp::workloads::checksum::digest_file;
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
@@ -19,17 +19,10 @@ const JOBS: u32 = 4;
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 7,
+        executor: ExecutorConfig::from_env_or_default(),
+        ..ClusterConfig::small_test(NODES)
     })
 }
 
@@ -113,17 +106,10 @@ fn main() {
     //    exhausts the bounded retry budget instead of livelocking.
     {
         let cl = Cluster::new(ClusterConfig {
-            nodes: 1,
-            slots: SlotConfig::ONE_ONE,
             block_size: ByteSize::kib(4),
-            failure_detection_secs: 30.0,
-            max_recovery_attempts: 100,
-            executor: ExecutorConfig::from_env_or_default(),
-            shuffle: Default::default(),
-            retry: Default::default(),
-            placement: Default::default(),
-            chain_cache: Default::default(),
             seed: 7,
+            executor: ExecutorConfig::from_env_or_default(),
+            ..ClusterConfig::small_test(1)
         });
         let mut gen = DataGenConfig::test("input", 1, 4_000);
         gen.replication = 1;

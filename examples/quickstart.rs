@@ -7,7 +7,7 @@
 
 use rcmp::core::{ChainDriver, ChainEvent, Strategy};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig};
+use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId};
 use rcmp::workloads::checksum::digest_file;
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
@@ -17,20 +17,13 @@ fn main() {
     // run takes milliseconds — the paper's 256 MiB blocks work the same
     // way, just bigger).
     let cluster = Cluster::new(ClusterConfig {
-        nodes: 5,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
+        seed: 1,
         // A host-sized reactor pool by default; `RCMP_EXECUTOR=async:1`
         // (or `ExecutorConfig::async_workers(1)`) runs the same seeded
         // schedule on one worker thread.
         executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
-        seed: 1,
+        ..ClusterConfig::small_test(5)
     });
 
     // Triple-replicated random input, like the paper's job input.

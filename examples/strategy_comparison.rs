@@ -14,7 +14,7 @@
 use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{ChainDriver, SplitPolicy, Strategy};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig};
+use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId};
 use rcmp::workloads::checksum::digest_file;
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
@@ -24,17 +24,10 @@ const NODES: u32 = 6;
 
 fn run(strategy: Strategy, label: &str) {
     let cluster = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 99,
+        executor: ExecutorConfig::from_env_or_default(),
+        ..ClusterConfig::small_test(NODES)
     });
     generate_input(cluster.dfs(), &DataGenConfig::test("input", NODES, 30_000)).unwrap();
     let chain = ChainBuilder::new(JOBS, NODES).build();

@@ -14,7 +14,7 @@
 
 use rcmp::core::{ChainDriver, Strategy};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig};
+use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId};
 use rcmp::obs::{
     hotspot_report, recomputation_critical_path, slot_occupancy, summary, to_chrome_json, to_jsonl,
     SpanKind,
@@ -27,17 +27,10 @@ const JOBS: u32 = 4;
 
 fn main() {
     let cl = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 7,
+        executor: ExecutorConfig::from_env_or_default(),
+        ..ClusterConfig::small_test(NODES)
     });
     // Replicate the input everywhere so every map read is served by a
     // local replica — the printed analyzer output is byte-identical

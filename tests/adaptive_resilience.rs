@@ -18,17 +18,9 @@ use std::sync::Arc;
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: 5,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: rcmp::model::ExecutorConfig::default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 31,
+        ..ClusterConfig::small_test(5)
     })
 }
 

@@ -17,7 +17,6 @@ use rcmp::engine::failure::{Fault, FaultTrigger};
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
 use rcmp::model::{
     ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, NodeId, PlacementKernel,
-    SlotConfig,
 };
 use rcmp::workloads::checksum::digest_file;
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
@@ -28,20 +27,15 @@ const JOBS: u32 = 4;
 
 fn cluster(cache: ChainCacheConfig, placement: PlacementKernel) -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
+        seed: 23,
         // The serial reactor is pinned so the recovery event sequence
         // is exactly replayable even when a fault kills a node mid-wave
         // (see `serial_reactor_replays_full_chaos_exactly`).
         executor: ExecutorConfig::async_workers(1),
-        shuffle: Default::default(),
-        retry: Default::default(),
         placement,
         chain_cache: cache,
-        seed: 23,
+        ..ClusterConfig::small_test(NODES)
     })
 }
 
@@ -153,19 +147,14 @@ fn stable_kernel_matches_default_oracle_fault_free() {
 #[test]
 fn stable_kernel_is_fully_local_on_balanced_partitions() {
     let cl = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         // 8k test records over 4 partitions ≈ 224 KiB each: one 1 MiB
         // block per partition.
         block_size: ByteSize::mib(1),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
+        seed: 23,
         executor: ExecutorConfig::async_workers(1),
-        shuffle: Default::default(),
-        retry: Default::default(),
         placement: PlacementKernel::Stable,
         chain_cache: ChainCacheConfig::enabled(ByteSize::mib(64)),
-        seed: 23,
+        ..ClusterConfig::small_test(NODES)
     });
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 8_000)).unwrap();
     let chain = ChainBuilder::new(JOBS, NODES).build();

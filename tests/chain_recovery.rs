@@ -11,24 +11,16 @@ use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{ChainDriver, ChainEvent, SplitPolicy, Strategy};
 use rcmp::engine::failure::Trigger;
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ClusterConfig, JobId, NodeId, SlotConfig};
+use rcmp::model::{ClusterConfig, JobId, NodeId};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
 
 fn cluster(nodes: u32) -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: rcmp::model::ExecutorConfig::default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 7,
+        ..ClusterConfig::small_test(nodes)
     })
 }
 

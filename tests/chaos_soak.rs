@@ -13,7 +13,6 @@ use rcmp::engine::failure::{Fault, FaultTrigger};
 use rcmp::engine::{Cluster, RandomizedInjector, ScriptedInjector, TriggerPoint};
 use rcmp::model::{
     ByteSize, ChainCacheConfig, ClusterConfig, Error, ExecutorConfig, NodeId, PlacementKernel,
-    SlotConfig,
 };
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
@@ -32,21 +31,16 @@ fn cluster_with(executor: ExecutorConfig) -> Cluster {
 
 fn cluster_cached(executor: ExecutorConfig, chain_cache: ChainCacheConfig) -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
+        seed: 23,
         executor,
-        shuffle: Default::default(),
-        retry: Default::default(),
         placement: if chain_cache.enabled {
             PlacementKernel::Stable
         } else {
-            PlacementKernel::from_env_or_default()
+            PlacementKernel::Default
         },
         chain_cache,
-        seed: 23,
+        ..ClusterConfig::small_test(NODES)
     })
 }
 
@@ -452,17 +446,10 @@ fn transient_shuffle_flakes_are_absorbed() {
 #[test]
 fn permanent_shuffle_flake_exhausts_retry_budget() {
     let cl = Cluster::new(ClusterConfig {
-        nodes: 1,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: PlacementKernel::from_env_or_default(),
-        chain_cache: Default::default(),
         seed: 23,
+        executor: ExecutorConfig::from_env_or_default(),
+        ..ClusterConfig::small_test(1)
     });
     let mut gen = DataGenConfig::test("input", 1, 4_000);
     gen.replication = 1;
@@ -495,17 +482,10 @@ fn failed_run_traces_every_injected_fault() {
     use rcmp::obs::{FaultKind, SpanKind};
 
     let cl = Cluster::new(ClusterConfig {
-        nodes: 1,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: PlacementKernel::from_env_or_default(),
-        chain_cache: Default::default(),
         seed: 23,
+        executor: ExecutorConfig::from_env_or_default(),
+        ..ClusterConfig::small_test(1)
     });
     let mut gen = DataGenConfig::test("input", 1, 4_000);
     gen.replication = 1;
@@ -571,17 +551,11 @@ fn failed_run_traces_every_injected_fault() {
 #[test]
 fn unrecoverable_input_exhausts_chain_restart_budget() {
     let cl = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
+        seed: 23,
         max_recovery_attempts: 3,
         executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: PlacementKernel::from_env_or_default(),
-        chain_cache: Default::default(),
-        seed: 23,
+        ..ClusterConfig::small_test(NODES)
     });
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 15_000)).unwrap();
     let chain = ChainBuilder::new(2, NODES).build();
@@ -803,32 +777,19 @@ fn drain_chaos_converges_or_fails_typed() {
     }
 }
 
-/// Acceptance gate (ISSUE 8): all four placement kernels drive the
-/// chaos-injected 7-job chain — a kill, transient flakes and a replica
-/// corruption — to the same golden digest. Placement moves tasks;
-/// contents must not move with them.
+/// Both placement kernels — `default`, and `stable` with the chain
+/// cache on — drive the chaos-injected 7-job chain (a kill, transient
+/// flakes and a replica corruption) to the same golden digest.
+/// Placement moves tasks; contents must not move with them.
 #[test]
 fn every_placement_kernel_converges_chaos_chain_to_golden() {
     let expected = golden();
-    for kernel in [
-        PlacementKernel::Default,
-        PlacementKernel::RackAware,
-        PlacementKernel::Delay { rounds: 2 },
-        PlacementKernel::CapacityWeighted,
+    for cache in [
+        ChainCacheConfig::default(),
+        ChainCacheConfig::enabled(ByteSize::mib(64)),
     ] {
-        let cl = Cluster::new(ClusterConfig {
-            nodes: NODES,
-            slots: SlotConfig::ONE_ONE,
-            block_size: rcmp::model::ByteSize::kib(4),
-            failure_detection_secs: 30.0,
-            max_recovery_attempts: 100,
-            executor: ExecutorConfig::from_env_or_default(),
-            shuffle: Default::default(),
-            retry: Default::default(),
-            placement: kernel,
-            chain_cache: Default::default(),
-            seed: 23,
-        });
+        let cl = cluster_cached(ExecutorConfig::from_env_or_default(), cache);
+        let kernel = cl.config().placement;
         let chain = setup(&cl);
         let injector = Arc::new(ScriptedInjector::default().tolerate_unfired());
         injector.add_fault(FaultTrigger {

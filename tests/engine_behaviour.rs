@@ -5,26 +5,18 @@ use rcmp::core::{ChainDriver, Strategy};
 use rcmp::engine::{
     Cluster, JobRun, JobTracker, NoFailures, RecomputeInstructions, ScriptedInjector, TriggerPoint,
 };
-use rcmp::model::{
-    ByteSize, ClusterConfig, ExecutorConfig, NodeId, PlacementKernel, SlotConfig, TaskId,
-};
+use rcmp::model::{ByteSize, ClusterConfig, ExecutorConfig, NodeId, SlotConfig, TaskId};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
 
 fn cluster(nodes: u32, slots: SlotConfig) -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes,
         slots,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
         seed: 3,
         // CI reruns this binary with RCMP_EXECUTOR=async (executor matrix).
         executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: PlacementKernel::from_env_or_default(),
-        chain_cache: Default::default(),
+        ..ClusterConfig::small_test(nodes)
     })
 }
 

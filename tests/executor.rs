@@ -64,17 +64,11 @@ fn engine_run(
     executor: ExecutorConfig,
 ) -> (rcmp::engine::JobReport, rcmp::workloads::OutputDigest) {
     let cl = Cluster::new(ClusterConfig {
-        nodes: 4,
         slots: SlotConfig::TWO_TWO,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
         seed: 9,
         executor,
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
+        ..ClusterConfig::small_test(4)
     });
     generate_input(cl.dfs(), &DataGenConfig::test("input", 4, 20_000)).unwrap();
     let chain = ChainBuilder::new(1, 4).build();
@@ -120,17 +114,11 @@ fn crash_run(
     rcmp::workloads::OutputDigest,
 ) {
     let cl = Cluster::new(ClusterConfig {
-        nodes: 4,
         slots: SlotConfig::TWO_TWO,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
         seed: 11,
         executor,
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
+        ..ClusterConfig::small_test(4)
     });
     generate_input(cl.dfs(), &DataGenConfig::test("input", 4, 33_000)).unwrap();
     let chain = ChainBuilder::new(1, 4).build();

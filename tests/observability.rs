@@ -25,17 +25,10 @@ const VICTIM: NodeId = NodeId(2);
 
 fn cluster(max_recovery_attempts: u32) -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts,
-        executor: rcmp::model::ExecutorConfig::default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 7,
+        max_recovery_attempts,
+        ..ClusterConfig::small_test(NODES)
     })
 }
 

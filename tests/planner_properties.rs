@@ -8,7 +8,7 @@ use rcmp::core::planner::plan_recovery;
 use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{JobGraph, SplitPolicy};
 use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, RunMode};
-use rcmp::model::{ClusterConfig, JobId, NodeId, SlotConfig};
+use rcmp::model::{ClusterConfig, JobId, NodeId};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
 
@@ -17,17 +17,9 @@ const JOBS: u32 = 3;
 
 fn setup() -> (Cluster, rcmp::workloads::ChainSpec, JobGraph) {
     let cluster = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: rcmp::model::ExecutorConfig::default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 77,
+        ..ClusterConfig::small_test(NODES)
     });
     generate_input(cluster.dfs(), &DataGenConfig::test("input", NODES, 12_000)).unwrap();
     let chain = ChainBuilder::new(JOBS, NODES).build();

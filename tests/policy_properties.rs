@@ -113,14 +113,23 @@ proptest! {
             .enumerate()
             .map(|(i, hs)| map_task(i, hs))
             .collect();
-        let eng_waves =
-            eng::assign_map_waves(eng_tasks, &live_eng, slots, PolicyCtx::disabled()).unwrap();
+        let eng_waves = eng::assign_map_waves(
+            eng_tasks,
+            &live_eng,
+            slots,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap();
         let sim_waves = sim::assign_map_waves(
             layout.len(),
             &live_sim,
             slots,
+            PlacementKernel::Default,
             |t, n| layout[t].first() == Some(&n),
             |t, n| layout[t].contains(&n),
+            |_| None,
             PolicyCtx::disabled(),
         )
         .unwrap();
@@ -197,15 +206,14 @@ proptest! {
 
     /// Elastic membership churn (ISSUE 8): drive a shared membership
     /// through random join/drain/decommission/rejoin/crash transitions
-    /// and re-derive map schedules at *every epoch* with each placement
-    /// kernel — the engine and simulator adapters must stay
+    /// and re-derive map schedules at *every epoch* with both placement
+    /// kernels — the engine and simulator adapters must stay
     /// byte-identical the whole way through.
     #[test]
     fn kernel_map_waves_agree_across_membership_churn(
         nodes in 2u32..10,
         slots in 1u32..4,
-        kernel_sel in 0u8..5,
-        delay_rounds in 0u32..4,
+        stable in prop::bool::ANY,
         churn in prop::collection::vec((0u8..5, 0u32..64), 1usize..12),
         raw_layout in prop::collection::vec(
             prop::collection::vec(0u32..16, 0usize..4),
@@ -213,14 +221,12 @@ proptest! {
         ),
         cache_sel in prop::collection::vec((any::<bool>(), 0u32..16), 0usize..40),
     ) {
-        let kernel = match kernel_sel {
-            0 => PlacementKernel::Default,
-            1 => PlacementKernel::RackAware,
-            2 => PlacementKernel::Delay { rounds: delay_rounds },
-            3 => PlacementKernel::CapacityWeighted,
-            _ => PlacementKernel::Stable,
+        let kernel = if stable {
+            PlacementKernel::Stable
+        } else {
+            PlacementKernel::Default
         };
-        let mut m = Membership::with_racks(nodes, 1 + nodes / 3);
+        let mut m = Membership::uniform(nodes);
 
         let check = |m: &Membership| -> Result<(), TestCaseError> {
             let live_sim = m.schedulable();
@@ -255,15 +261,14 @@ proptest! {
                 .collect();
             let cached_eng: Vec<Option<NodeId>> =
                 cached.iter().map(|o| o.map(NodeId)).collect();
-            let eng = eng::assign_map_waves_kernel(
-                eng_tasks, &live_eng, slots, kernel, m, &cached_eng, PolicyCtx::disabled(),
+            let eng = eng::assign_map_waves(
+                eng_tasks, &live_eng, slots, kernel, &cached_eng, PolicyCtx::disabled(),
             );
-            let sim = sim::assign_map_waves_kernel(
+            let sim = sim::assign_map_waves(
                 layout.len(),
                 &live_sim,
                 slots,
                 kernel,
-                m,
                 |t, n| layout[t].first() == Some(&n),
                 |t, n| layout[t].contains(&n),
                 |t| cached.get(t).copied().flatten(),
@@ -300,35 +305,28 @@ proptest! {
                 1 => drop(m.rejoin(t)),
                 2 => drop(m.decommission(t)),
                 3 => drop(m.mark_dead(t)),
-                _ => drop(m.join(1 + target % 4, target % 3)),
+                _ => drop(m.join()),
             }
             check(&m)?;
         }
     }
 
-    /// Same churn property for reduce scheduling, both styles, all
-    /// kernels.
+    /// Same churn property for reduce scheduling, both styles (reducer
+    /// placement takes no kernel).
     #[test]
     fn kernel_reduce_waves_agree_across_membership_churn(
         nodes in 2u32..10,
         slots in 1u32..4,
-        kernel_sel in 0u8..4,
         balance in prop::bool::ANY,
         churn in prop::collection::vec((0u8..5, 0u32..64), 1usize..10),
         parts in prop::collection::vec(0u32..40, 0usize..40),
     ) {
-        let kernel = match kernel_sel {
-            0 => PlacementKernel::Default,
-            1 => PlacementKernel::RackAware,
-            2 => PlacementKernel::Delay { rounds: 2 },
-            _ => PlacementKernel::CapacityWeighted,
-        };
         let style = if balance {
             ReduceAssignment::Balance
         } else {
             ReduceAssignment::RoundRobinByPartition
         };
-        let mut m = Membership::with_racks(nodes, 1 + nodes / 3);
+        let mut m = Membership::uniform(nodes);
 
         let check = |m: &Membership| -> Result<(), TestCaseError> {
             let live_sim = m.schedulable();
@@ -338,16 +336,14 @@ proptest! {
                 .iter()
                 .map(|&p| ReduceTask::new(ReduceTaskId::whole(JobId(1), PartitionId(p))))
                 .collect();
-            let eng = eng::assign_reduce_waves_kernel(
-                eng_tasks, &live_eng, slots, style, kernel, m, PolicyCtx::disabled(),
+            let eng = eng::assign_reduce_waves(
+                eng_tasks, &live_eng, slots, style, PolicyCtx::disabled(),
             );
-            let sim = sim::assign_reduce_waves_kernel(
+            let sim = sim::assign_reduce_waves(
                 parts.len(),
                 &live_sim,
                 slots,
                 style,
-                kernel,
-                m,
                 |t| parts[t] as usize,
                 PolicyCtx::disabled(),
             );
@@ -392,7 +388,7 @@ proptest! {
                 1 => drop(m.rejoin(t)),
                 2 => drop(m.decommission(t)),
                 3 => drop(m.mark_dead(t)),
-                _ => drop(m.join(1 + target % 4, target % 3)),
+                _ => drop(m.join()),
             }
             check(&m)?;
         }
@@ -403,13 +399,23 @@ proptest! {
     fn dead_cluster_agrees(tasks in 1usize..20) {
         let eng_tasks: Vec<MapTask> =
             (0..tasks).map(|i| map_task(i, &[0])).collect();
-        let e = eng::assign_map_waves(eng_tasks, &[], 1, PolicyCtx::disabled()).unwrap_err();
+        let e = eng::assign_map_waves(
+            eng_tasks,
+            &[],
+            1,
+            PlacementKernel::Default,
+            &[],
+            PolicyCtx::disabled(),
+        )
+        .unwrap_err();
         let s = sim::assign_map_waves(
             tasks,
             &[],
             1,
+            PlacementKernel::Default,
             |_, _| false,
             |_, _| false,
+            |_| None,
             PolicyCtx::disabled(),
         )
         .unwrap_err();

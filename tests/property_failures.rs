@@ -7,7 +7,7 @@ use rcmp::core::strategy::HotspotMitigation;
 use rcmp::core::{ChainDriver, SplitPolicy, Strategy};
 use rcmp::engine::failure::Trigger;
 use rcmp::engine::{Cluster, ScriptedInjector, TriggerPoint};
-use rcmp::model::{ClusterConfig, NodeId, SlotConfig};
+use rcmp::model::{ClusterConfig, NodeId};
 use rcmp::workloads::checksum::{digest_file, OutputDigest};
 use rcmp::workloads::{generate_input, ChainBuilder, DataGenConfig};
 use std::sync::Arc;
@@ -17,17 +17,9 @@ const JOBS: u32 = 3;
 
 fn cluster() -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: rcmp::model::ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
-        executor: rcmp::model::ExecutorConfig::default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
         seed: 11,
+        ..ClusterConfig::small_test(NODES)
     })
 }
 

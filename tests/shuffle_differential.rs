@@ -25,17 +25,12 @@ const NODES: u32 = 4;
 
 fn cluster(seed: u64, shuffle: ShuffleConfig, executor: ExecutorConfig) -> Cluster {
     Cluster::new(ClusterConfig {
-        nodes: NODES,
         slots: SlotConfig::TWO_TWO,
         block_size: ByteSize::kib(4),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
         seed,
         executor,
         shuffle,
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
+        ..ClusterConfig::small_test(NODES)
     })
 }
 

@@ -19,17 +19,10 @@ const BYTES_PER_PARTITION: u64 = RECORDS_PER_PARTITION * 112;
 
 fn engine_run() -> rcmp::engine::JobReport {
     let cluster = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::bytes(BLOCK),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
         seed: 5,
         executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
+        ..ClusterConfig::small_test(NODES)
     });
     let cfg = DataGenConfig {
         value_size: 100,
@@ -126,17 +119,10 @@ fn locality_profiles_agree() {
 fn recompute_fractions_agree() {
     // Engine side.
     let cluster = Cluster::new(ClusterConfig {
-        nodes: NODES,
-        slots: SlotConfig::ONE_ONE,
         block_size: ByteSize::bytes(BLOCK),
-        failure_detection_secs: 30.0,
-        max_recovery_attempts: 100,
         seed: 5,
         executor: ExecutorConfig::from_env_or_default(),
-        shuffle: Default::default(),
-        retry: Default::default(),
-        placement: Default::default(),
-        chain_cache: Default::default(),
+        ..ClusterConfig::small_test(NODES)
     });
     let cfg = DataGenConfig {
         value_size: 100,
@@ -203,4 +189,55 @@ fn recompute_fractions_agree() {
             "{name} re-ran too many mappers: {frac} vs ideal {ideal}"
         );
     }
+}
+
+/// The simulator's chain cache evicts the same file as the engine's
+/// after a recompute. Every run first refreshes its input's recency
+/// (the engine's input pin), then commits its output with the input
+/// exempt from eviction. Budget 40 B, one 10 B partition per file:
+/// job `j` reads f(j-1) and writes fj on node `j` (j = 1..4), node 2
+/// dies, job 2 recomputes f2 on node 5, and job 5's commit of f5 must
+/// evict the least recently used file, f3, on both sides.
+#[test]
+fn chain_caches_evict_the_same_file_after_a_recompute() {
+    use rcmp::dfs::ChainCache;
+    use rcmp::model::{NodeId, PartitionId};
+    use rcmp::sim::SimChainCache;
+
+    fn path(f: u32) -> String {
+        format!("f{f}")
+    }
+    fn run(engine: &ChainCache, sim: &mut SimChainCache, job: u32, node: u32) {
+        let input = path(job - 1);
+        engine.pin_file(&input);
+        engine.stage(
+            &path(job),
+            PartitionId(0),
+            NodeId(node),
+            &[bytes::Bytes::from(vec![0u8; 10])],
+        );
+        engine.commit(&path(job));
+        engine.unpin_file(&input);
+
+        sim.touch_file(job - 1);
+        sim.stage(job, 0, node, 10);
+        sim.commit(job, Some(job - 1));
+    }
+
+    let engine = ChainCache::new(ByteSize::bytes(40));
+    let mut sim = SimChainCache::new(40);
+    for j in 1..=4 {
+        run(&engine, &mut sim, j, j);
+    }
+    engine.invalidate_node(NodeId(2));
+    sim.invalidate_node(2);
+    run(&engine, &mut sim, 2, 5);
+    run(&engine, &mut sim, 5, 5);
+
+    let engine_kept: Vec<bool> = (1..=5)
+        .map(|f| engine.holder(&path(f), PartitionId(0)).is_some())
+        .collect();
+    let sim_kept: Vec<bool> = (1..=5).map(|f| sim.holder(f, 0).is_some()).collect();
+    assert_eq!(engine_kept, vec![true, true, false, true, true]);
+    assert_eq!(sim_kept, engine_kept);
 }
