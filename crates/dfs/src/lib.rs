@@ -39,7 +39,7 @@ pub mod topology;
 mod dfs;
 
 pub use block::{BlockInfo, BlockLocation};
-pub use chain_cache::{ChainCache, ChainCacheStats};
+pub use chain_cache::ChainCache;
 pub use dfs::{Dfs, DfsConfig};
 pub use namespace::{FileMeta, PartitionMeta, SegmentMeta};
 pub use placement::PlacementPolicy;

@@ -89,9 +89,10 @@ impl Cluster {
             recorder.clone(),
         );
         if cfg.chain_cache.enabled {
-            dfs = dfs.with_chain_cache(Arc::new(
-                rcmp_dfs::ChainCache::new(cfg.chain_cache.budget).with_obs(&metrics),
-            ));
+            dfs = dfs.with_chain_cache(Arc::new(rcmp_dfs::ChainCache::new(
+                cfg.chain_cache.budget,
+                &metrics,
+            )));
         }
         // The authoritative membership record both backends schedule
         // against.

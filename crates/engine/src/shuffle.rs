@@ -12,6 +12,11 @@ use rcmp_model::{NodeId, Record, RecordReader, ReduceTaskId, Result};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// The reducer's merge fan-in: past this many sorted runs, the
+/// smallest runs are coalesced first so the heap never holds more
+/// cursors than this.
+pub const MERGE_WIDTH: u32 = 64;
+
 /// Outcome of one reducer's shuffle + sort + group.
 #[derive(Debug)]
 pub struct ShuffleResult {
@@ -51,6 +56,10 @@ pub enum ShuffleFailure {
 /// reducer needs a bucket from *every* mapper, including persisted ones
 /// (which is why the paper notes the shuffle stays a bottleneck even
 /// when few mappers are recomputed, §IV-B2).
+///
+/// This collect-all-then-sort path is the reference implementation:
+/// the tracker runs [`StreamingShuffle`], and the differential tests,
+/// `shufflefig` and the shuffle benches compare it against this.
 pub fn shuffle_for_reduce(
     store: &MapOutputStore,
     inputs: &[MapInputKey],
@@ -114,8 +123,8 @@ pub struct MergeStats {
     pub index_bytes_skipped: u64,
     /// Empty buckets skipped without decoding anything.
     pub empty_runs_skipped: u64,
-    /// Runs pre-merged pairwise because the fan-in exceeded the
-    /// configured `max_merge_width`.
+    /// Runs pre-merged pairwise because the fan-in exceeded the merge
+    /// width (the tracker passes [`MERGE_WIDTH`]).
     pub runs_coalesced: u64,
     /// Peak heap size during the merge (bounded by the merge width).
     pub heap_peak: u64,
@@ -184,13 +193,14 @@ impl PartialOrd for Head {
 /// buckets stream record-at-a-time straight out of the fetched payload.
 ///
 /// Byte-identity invariant: the concatenation of the yielded groups is
-/// exactly [`sort_and_group`] of the same records — the legacy path
-/// remains available as the differential-testing oracle.
+/// exactly [`sort_and_group`] of the same records — the sort-all
+/// [`shuffle_for_reduce`] is kept as the reference implementation the
+/// differential tests compare against.
 pub struct StreamingShuffle {
     runs: Vec<Run>,
     heap: BinaryHeap<Reverse<Head>>,
     stats: MergeStats,
-    /// Locality accounting, identical to the legacy path's.
+    /// Locality accounting, identical to [`shuffle_for_reduce`]'s.
     pub local_bytes: u64,
     pub remote_bytes: u64,
     pub per_source: Vec<(NodeId, u64)>,
@@ -201,7 +211,7 @@ impl StreamingShuffle {
     /// Fetches every bucket, accounts locality exactly like
     /// [`shuffle_for_reduce`], and prepares the merge runs. Unsorted
     /// (unindexed) buckets are decoded and sorted here, so corruption in
-    /// them surfaces at plan time, as on the legacy path.
+    /// them surfaces at plan time, as in [`shuffle_for_reduce`].
     pub fn plan(
         store: &MapOutputStore,
         inputs: &[MapInputKey],

@@ -29,7 +29,7 @@ use crate::job::{JobRun, JobSpec, RunMode};
 use crate::mapstore::{BucketIndex, MapInputKey};
 use crate::metrics::{IoBytes, JobReport, ShuffleMetrics, TaskRecord};
 use crate::scheduler::{assign_map_waves, assign_reduce_waves, ReduceAssignment, Waves};
-use crate::shuffle::{shuffle_for_reduce, ShuffleFailure, StreamingShuffle};
+use crate::shuffle::{ShuffleFailure, StreamingShuffle, MERGE_WIDTH};
 use crate::task::{MapTask, ReduceTask};
 use crate::udf::Combiner;
 use bytes::Bytes;
@@ -1298,153 +1298,92 @@ impl<'a> JobTracker<'a> {
     ) -> ReduceOutcome {
         let t0 = Instant::now();
         let store = self.cluster.map_outputs();
-        let shuffle_cfg = self.cluster.config().shuffle;
         let retry = self.cluster.config().retry;
         let backoff_site = self.backoff_site_seed(task.id);
         let block_size = self.cluster.config().block_size.as_u64() as usize;
         let mut out = ChunkingWriter::new(block_size);
         let shuffle_start = self.tracer.now_us();
-        let (local_bytes, remote_bytes) = if shuffle_cfg.streaming {
-            // Streaming path: plan the fetches via the bucket indexes,
-            // then k-way-merge the per-mapper sorted runs straight into
-            // the reducer — no collect-all-then-sort pass.
-            let mut attempt = 0u32;
-            let mut merge = loop {
-                attempt += 1;
-                match StreamingShuffle::plan(
-                    store,
-                    input_keys,
-                    task.id,
-                    node,
-                    shuffle_cfg.max_merge_width,
-                ) {
-                    Ok(m) => break m,
-                    Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
-                    Err(ShuffleFailure::Corrupt { key, .. }) => {
-                        // The stored copy is permanently bad: retrying
-                        // the fetch returns the same bytes. Drop the
-                        // entry so the phase loop re-runs that mapper
-                        // from its input block, then report missing.
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
-                    }
-                    Err(ShuffleFailure::Transient { .. }) => {
-                        self.m_shuffle_transients.inc();
-                        self.recorder.record(
-                            EventCode::ShuffleRetry,
-                            Some(node),
-                            u64::from(task.id.partition.0),
-                            u64::from(attempt),
-                        );
-                        // Retryable in place, but not forever: a path
-                        // this flaky needs the task rescheduled.
-                        if attempt >= retry.shuffle_attempts {
-                            return ReduceOutcome::Retry(task.id);
-                        }
-                        // Seeded full-jitter backoff: concurrent
-                        // failing fetches spread out instead of
-                        // hammering the flaky path in lockstep.
-                        self.backoff(&retry, backoff_site, attempt);
-                    }
+        // Plan the fetches via the bucket indexes, then k-way-merge the
+        // per-mapper sorted runs straight into the reducer — no
+        // collect-all-then-sort pass.
+        let mut attempt = 0u32;
+        let mut merge = loop {
+            attempt += 1;
+            match StreamingShuffle::plan(store, input_keys, task.id, node, MERGE_WIDTH) {
+                Ok(m) => break m,
+                Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
+                Err(ShuffleFailure::Corrupt { key, .. }) => {
+                    // The stored copy is permanently bad: retrying
+                    // the fetch returns the same bytes. Drop the
+                    // entry so the phase loop re-runs that mapper
+                    // from its input block, then report missing.
+                    store.remove(&key);
+                    return ReduceOutcome::Missing;
                 }
-            };
-            let shuffle_end = self.tracer.now_us();
-            self.m_shuffle_us
-                .observe(shuffle_end.saturating_sub(shuffle_start));
-            self.profiler.add_us(
-                PhaseKind::ShuffleFetch,
-                shuffle_end.saturating_sub(shuffle_start),
-            );
-            self.record_fetches(
-                &merge.per_source,
-                node,
-                task_span,
-                shuffle_start,
-                shuffle_end,
-            );
-            let (local, remote) = (merge.local_bytes, merge.remote_bytes);
-            // Merge vs UDF attribution: the loop interleaves both, so
-            // the UDF is timed per group and the remainder of the loop
-            // is the merge (two clock reads per group, flushed once).
-            let merge_started = Instant::now();
-            let mut udf_ns = 0u64;
-            for group in merge.by_ref() {
-                match group {
-                    Ok((key, values)) => {
-                        let udf_start = Instant::now();
-                        spec.reducer.reduce(key, &values, &mut |rec: Record| {
-                            out.push(&rec);
-                        });
-                        udf_ns += udf_start.elapsed().as_nanos() as u64;
+                Err(ShuffleFailure::Transient { .. }) => {
+                    self.m_shuffle_transients.inc();
+                    self.recorder.record(
+                        EventCode::ShuffleRetry,
+                        Some(node),
+                        u64::from(task.id.partition.0),
+                        u64::from(attempt),
+                    );
+                    // Retryable in place, but not forever: a path
+                    // this flaky needs the task rescheduled.
+                    if attempt >= retry.shuffle_attempts {
+                        return ReduceOutcome::Retry(task.id);
                     }
-                    // A lazily-decoded run can surface corruption
-                    // mid-merge; treat it exactly like plan-time
-                    // corruption.
-                    Err(ShuffleFailure::Corrupt { key, .. }) => {
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
-                    }
-                    Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
-                    Err(ShuffleFailure::Transient { .. }) => return ReduceOutcome::Retry(task.id),
+                    // Seeded full-jitter backoff: concurrent
+                    // failing fetches spread out instead of
+                    // hammering the flaky path in lockstep.
+                    self.backoff(&retry, backoff_site, attempt);
                 }
             }
-            let loop_ns = merge_started.elapsed().as_nanos() as u64;
-            self.profiler
-                .add_ns(PhaseKind::StreamingMerge, loop_ns.saturating_sub(udf_ns));
-            self.profiler.add_ns(PhaseKind::ReduceUdf, udf_ns);
-            self.m_shuffle.observe_merge(&merge.stats());
-            (local, remote)
-        } else {
-            // Legacy oracle path: fetch everything, then sort-and-group.
-            let mut attempt = 0u32;
-            let shuffled = loop {
-                attempt += 1;
-                match shuffle_for_reduce(store, input_keys, task.id, node) {
-                    Ok(r) => break r,
-                    Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
-                    Err(ShuffleFailure::Corrupt { key, .. }) => {
-                        store.remove(&key);
-                        return ReduceOutcome::Missing;
-                    }
-                    Err(ShuffleFailure::Transient { .. }) => {
-                        self.m_shuffle_transients.inc();
-                        self.recorder.record(
-                            EventCode::ShuffleRetry,
-                            Some(node),
-                            u64::from(task.id.partition.0),
-                            u64::from(attempt),
-                        );
-                        if attempt >= retry.shuffle_attempts {
-                            return ReduceOutcome::Retry(task.id);
-                        }
-                        self.backoff(&retry, backoff_site, attempt);
-                    }
-                }
-            };
-            let shuffle_end = self.tracer.now_us();
-            self.m_shuffle_us
-                .observe(shuffle_end.saturating_sub(shuffle_start));
-            self.profiler.add_us(
-                PhaseKind::ShuffleFetch,
-                shuffle_end.saturating_sub(shuffle_start),
-            );
-            self.record_fetches(
-                &shuffled.per_source,
-                node,
-                task_span,
-                shuffle_start,
-                shuffle_end,
-            );
-            let udf_start = Instant::now();
-            for (key, values) in &shuffled.groups {
-                spec.reducer.reduce(*key, values, &mut |rec: Record| {
-                    out.push(&rec);
-                });
-            }
-            self.profiler
-                .add_ns(PhaseKind::ReduceUdf, udf_start.elapsed().as_nanos() as u64);
-            (shuffled.local_bytes, shuffled.remote_bytes)
         };
+        let shuffle_end = self.tracer.now_us();
+        self.m_shuffle_us
+            .observe(shuffle_end.saturating_sub(shuffle_start));
+        self.profiler.add_us(
+            PhaseKind::ShuffleFetch,
+            shuffle_end.saturating_sub(shuffle_start),
+        );
+        self.record_fetches(
+            &merge.per_source,
+            node,
+            task_span,
+            shuffle_start,
+            shuffle_end,
+        );
+        // Merge vs UDF attribution: the loop interleaves both, so
+        // the UDF is timed per group and the remainder of the loop
+        // is the merge (two clock reads per group, flushed once).
+        let merge_started = Instant::now();
+        let mut udf_ns = 0u64;
+        for group in merge.by_ref() {
+            match group {
+                Ok((key, values)) => {
+                    let udf_start = Instant::now();
+                    spec.reducer.reduce(key, &values, &mut |rec: Record| {
+                        out.push(&rec);
+                    });
+                    udf_ns += udf_start.elapsed().as_nanos() as u64;
+                }
+                // A lazily-decoded run can surface corruption
+                // mid-merge; treat it exactly like plan-time
+                // corruption.
+                Err(ShuffleFailure::Corrupt { key, .. }) => {
+                    store.remove(&key);
+                    return ReduceOutcome::Missing;
+                }
+                Err(ShuffleFailure::MissingMapOutputs(_)) => return ReduceOutcome::Missing,
+                Err(ShuffleFailure::Transient { .. }) => return ReduceOutcome::Retry(task.id),
+            }
+        }
+        let loop_ns = merge_started.elapsed().as_nanos() as u64;
+        self.profiler
+            .add_ns(PhaseKind::StreamingMerge, loop_ns.saturating_sub(udf_ns));
+        self.profiler.add_ns(PhaseKind::ReduceUdf, udf_ns);
+        self.m_shuffle.observe_merge(&merge.stats());
         let output_bytes = out.byte_count();
         let chunks = out.finish();
         if self.torn.lock().remove(&node) {
@@ -1491,8 +1430,8 @@ impl<'a> JobTracker<'a> {
             Err(_) => return ReduceOutcome::Retry(task.id),
         }
         let io = IoBytes {
-            shuffle_local: local_bytes,
-            shuffle_remote: remote_bytes,
+            shuffle_local: merge.local_bytes,
+            shuffle_remote: merge.remote_bytes,
             output_written: output_bytes,
             replication_written: output_bytes * (spec.output_replication as u64 - 1),
             ..IoBytes::default()

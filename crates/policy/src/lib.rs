@@ -39,6 +39,11 @@
 //! * [`Membership`] — the versioned, mutable node set: join / drain /
 //!   decommission / rejoin transitions with epoch numbers, snapshotted
 //!   identically by both backends.
+//! * [`ChainCacheBook`] — the inter-job chain cache's bookkeeping
+//!   (stage, commit, LRU-with-pin eviction, spill, invalidation) over a
+//!   generic file key and per-partition payload: the engine's
+//!   `rcmp_dfs::ChainCache` wraps it around the cached bytes, the
+//!   simulator keeps it over file indices with no payload.
 //! * [`RackTopology`] — the node→rack layout DFS replica placement
 //!   uses (§III-A).
 //! * [`DrrArbiter`] — cross-tenant fair-share arbitration (weighted
@@ -49,6 +54,7 @@
 #![deny(missing_docs)]
 
 pub mod adapt;
+mod chain_cache;
 mod fair;
 mod membership;
 mod mitigation;
@@ -61,6 +67,7 @@ pub use adapt::{
     expected_chain_time, optimal_interval, AdaptConfig, AdaptationStep, AdaptivePolicy,
     DynamicPolicy, FailureIntensityEstimator, FaultObserver,
 };
+pub use chain_cache::ChainCacheBook;
 pub use fair::{jain_index, DrrArbiter, Grant, TenantShare};
 pub use membership::{Membership, NodeStatus};
 pub use mitigation::{choose_mitigation, HotspotMitigation, MitigationChoice, SplitPolicy};

@@ -25,7 +25,7 @@ use crate::sched::{assign_map_waves, assign_reduce_waves};
 use crate::speculate::{speculate_wave, SpeculationCfg, WaveTask};
 use crate::state::{MapOutputRec, Node, Segment, SimState};
 use crate::workload::WorkloadCfg;
-use rcmp_model::{PlacementKernel, Result};
+use rcmp_model::{NodeId, PartitionId, PlacementKernel, Result};
 use rcmp_obs::Tracer;
 use rcmp_policy::{PolicyCtx, ReduceAssignment};
 use std::collections::BTreeMap;
@@ -131,7 +131,7 @@ impl JobSim {
             f.partitions.clear();
         }
         if let Some(c) = state.chain_cache.as_mut() {
-            c.invalidate_file(job);
+            c.invalidate_file(&job);
         }
         self.run(state, job, None, replication, persist)
     }
@@ -148,7 +148,28 @@ impl JobSim {
         self.run(state, job, Some(spec), 1, persist)
     }
 
+    /// One run of `job`, with its input file pinned in the chain cache
+    /// from start to every exit — the engine tracker's input pin.
     fn run(
+        &self,
+        state: &mut SimState,
+        job: u32,
+        recompute: Option<&RecomputeSpec>,
+        replication: u32,
+        persist: bool,
+    ) -> Result<SimJobReport> {
+        let input_file = job - 1;
+        if let Some(c) = state.chain_cache.as_mut() {
+            c.pin(&input_file);
+        }
+        let report = self.run_pinned(state, job, recompute, replication, persist);
+        if let Some(c) = state.chain_cache.as_mut() {
+            c.unpin(&input_file);
+        }
+        report
+    }
+
+    fn run_pinned(
         &self,
         state: &mut SimState,
         job: u32,
@@ -161,11 +182,6 @@ impl JobSim {
         let input_file = job - 1;
         let block = wl.block_size.as_u64();
         let live = state.live_nodes();
-        // The run consumes its input: refresh the input's cache recency,
-        // as the engine tracker's input pin does at every run start.
-        if let Some(c) = state.chain_cache.as_mut() {
-            c.touch_file(input_file);
-        }
         let ctx = PolicyCtx::maybe(self.tracer.as_deref(), None);
 
         let mut report = SimJobReport {
@@ -588,15 +604,15 @@ impl JobSim {
             state.rewrite_partition(job, pid, segs);
         }
         // Write-behind done: admit this run's whole reducer outputs into
-        // the chain cache (ascending partition order, the consuming run's
-        // input file pinned — the same commit the engine tracker performs
-        // at successful job completion).
+        // the chain cache (ascending partition order, the input file
+        // still pinned — the same commit the engine tracker performs at
+        // successful job completion).
         if let Some(cache) = state.chain_cache.as_mut() {
             for (&pid, &node) in &cache_writers {
                 let bytes = by_partition.get(&pid).copied().unwrap_or(0);
-                cache.stage(job, pid, node, bytes);
+                cache.stage(&job, PartitionId(pid), NodeId(node), bytes, ());
             }
-            cache.commit(job, Some(input_file));
+            cache.commit(&job);
         }
 
         if !persist {

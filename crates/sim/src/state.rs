@@ -7,8 +7,8 @@
 //! transitions the real `rcmp-dfs`/`rcmp-engine` pair performs.
 
 use crate::workload::WorkloadCfg;
-use rcmp_model::{Error, Result};
-use rcmp_policy::Membership;
+use rcmp_model::{Error, NodeId, PartitionId, Result};
+use rcmp_policy::{ChainCacheBook, Membership};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Node index (dense, 0-based).
@@ -78,144 +78,6 @@ impl SimFile {
     }
 }
 
-/// Mirror of the engine's `rcmp_dfs::ChainCache` at placement
-/// granularity: which node holds which `(file, partition)` in memory,
-/// under the same byte budget, commit order (ascending partition id)
-/// and LRU-with-pin eviction — so cache-on schedules and hit accounting
-/// agree between the simulator and the real engine. The simulator never
-/// holds bytes, so "spill" is the same pure bookkeeping drop it is in
-/// the engine (the DFS write-behind already persisted everything).
-#[derive(Clone, Debug, Default)]
-pub struct SimChainCache {
-    /// Byte budget; staged partitions above it are spilled at commit.
-    pub budget: u64,
-    /// (file, pid) → (holder, bytes, admission seq).
-    entries: BTreeMap<(FileId, u32), (Node, u64, u64)>,
-    /// Per-file staged outputs awaiting the run's commit.
-    staged: BTreeMap<FileId, BTreeMap<u32, (Node, u64)>>,
-    used: u64,
-    seq: u64,
-    /// Partitions dropped (never admitted or evicted) for budget.
-    pub spills: u64,
-}
-
-impl SimChainCache {
-    pub fn new(budget: u64) -> Self {
-        Self {
-            budget,
-            ..Self::default()
-        }
-    }
-
-    /// Node holding this partition in memory, if cached.
-    pub fn holder(&self, file: FileId, pid: u32) -> Option<Node> {
-        self.entries.get(&(file, pid)).map(|&(n, _, _)| n)
-    }
-
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    /// Stages one reducer's whole-partition output for the running job.
-    pub fn stage(&mut self, file: FileId, pid: u32, holder: Node, bytes: u64) {
-        self.staged
-            .entry(file)
-            .or_default()
-            .insert(pid, (holder, bytes));
-    }
-
-    /// Marks `file`'s entries most recently used, as the engine's
-    /// `ChainCache::pin_file` does when a run starts consuming the file:
-    /// every entry of the file takes one fresh recency stamp.
-    pub fn touch_file(&mut self, file: FileId) {
-        self.seq += 1;
-        let seq = self.seq;
-        for (_, (_, _, s)) in self.entries.range_mut((file, 0)..(file + 1, 0)) {
-            *s = seq;
-        }
-    }
-
-    /// Admits the staged partitions of `file` in ascending partition
-    /// order, evicting least-recently-admitted unpinned entries on
-    /// pressure. `pinned` (the consuming run's input file) is never
-    /// evicted. A partition larger than what pressure can free is
-    /// spilled, not admitted.
-    pub fn commit(&mut self, file: FileId, pinned: Option<FileId>) {
-        let Some(staged) = self.staged.remove(&file) else {
-            return;
-        };
-        for (pid, (holder, bytes)) in staged {
-            if let Some((_, b, _)) = self.entries.remove(&(file, pid)) {
-                self.used -= b;
-            }
-            if bytes > self.budget {
-                self.spills += 1;
-                continue;
-            }
-            while self.used + bytes > self.budget {
-                let victim = self
-                    .entries
-                    .iter()
-                    .filter(|(&(f, _), _)| Some(f) != pinned)
-                    .min_by_key(|(_, &(_, _, s))| s)
-                    .map(|(&k, _)| k);
-                match victim {
-                    Some(k) => {
-                        let (_, b, _) = self.entries.remove(&k).expect("victim exists");
-                        self.used -= b;
-                    }
-                    None => break,
-                }
-            }
-            if self.used + bytes > self.budget {
-                self.spills += 1;
-                continue;
-            }
-            self.seq += 1;
-            self.entries.insert((file, pid), (holder, bytes, self.seq));
-            self.used += bytes;
-        }
-    }
-
-    pub fn invalidate_partition(&mut self, file: FileId, pid: u32) {
-        if let Some((_, b, _)) = self.entries.remove(&(file, pid)) {
-            self.used -= b;
-        }
-        if let Some(s) = self.staged.get_mut(&file) {
-            s.remove(&pid);
-        }
-    }
-
-    pub fn invalidate_file(&mut self, file: FileId) {
-        let keys: Vec<_> = self
-            .entries
-            .range((file, 0)..(file + 1, 0))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let (_, b, _) = self.entries.remove(&k).expect("listed key");
-            self.used -= b;
-        }
-        self.staged.remove(&file);
-    }
-
-    pub fn invalidate_node(&mut self, node: Node) {
-        let keys: Vec<_> = self
-            .entries
-            .iter()
-            .filter(|(_, &(n, _, _))| n == node)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let (_, b, _) = self.entries.remove(&k).expect("listed key");
-            self.used -= b;
-        }
-        for s in self.staged.values_mut() {
-            s.retain(|_, &mut (n, _)| n != node);
-        }
-    }
-}
-
 /// A persisted map output: where it lives and which input version it
 /// was computed from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,8 +102,11 @@ pub struct SimState {
     pub files: BTreeMap<FileId, SimFile>,
     /// Persisted map outputs.
     pub map_outputs: BTreeMap<MapKey, MapOutputRec>,
-    /// Inter-job chain cache mirror (None = cache off, the default).
-    pub chain_cache: Option<SimChainCache>,
+    /// Inter-job chain cache (None = cache off, the default): the same
+    /// `rcmp-policy` bookkeeping the engine's `rcmp_dfs::ChainCache`
+    /// runs, over file ids and without bytes, so cache-on schedules and
+    /// hit accounting agree with the engine.
+    pub chain_cache: Option<ChainCacheBook<FileId, ()>>,
 }
 
 impl SimState {
@@ -293,14 +158,17 @@ impl SimState {
         }
     }
 
-    /// Turns on the chain-cache mirror with the given byte budget.
+    /// Turns on the chain cache with the given byte budget.
     pub fn enable_chain_cache(&mut self, budget: u64) {
-        self.chain_cache = Some(SimChainCache::new(budget));
+        self.chain_cache = Some(ChainCacheBook::new(budget));
     }
 
     /// Node holding `(file, pid)` in cache memory, if the cache is on.
     pub fn cache_holder(&self, file: FileId, pid: u32) -> Option<Node> {
-        self.chain_cache.as_ref().and_then(|c| c.holder(file, pid))
+        self.chain_cache
+            .as_ref()
+            .and_then(|c| c.holder(&file, PartitionId(pid)))
+            .map(|n| n.0)
     }
 
     /// Current membership snapshot (statuses and epoch).
@@ -331,7 +199,7 @@ impl SimState {
         let _ = self.membership.mark_dead(node);
         self.map_outputs.retain(|_, rec| rec.node != node);
         if let Some(c) = self.chain_cache.as_mut() {
-            c.invalidate_node(node);
+            c.invalidate_node(NodeId(node));
         }
         let mut newly = BTreeMap::new();
         for (&f, file) in &self.files {
@@ -360,7 +228,7 @@ impl SimState {
         // Mirror the engine: a draining node's memory is surrendered
         // even though its disk replicas keep serving.
         if let Some(c) = self.chain_cache.as_mut() {
-            c.invalidate_node(node);
+            c.invalidate_node(NodeId(node));
         }
         Ok(())
     }
@@ -440,7 +308,7 @@ impl SimState {
         }
         self.map_outputs.retain(|_, rec| rec.node != node);
         if let Some(c) = self.chain_cache.as_mut() {
-            c.invalidate_node(node);
+            c.invalidate_node(NodeId(node));
         }
         self.membership
             .decommission(node)
@@ -518,7 +386,7 @@ impl SimState {
         // the old version must not serve (the engine's hash guard +
         // clear_partition hook, collapsed into one invalidation here).
         if let Some(c) = self.chain_cache.as_mut() {
-            c.invalidate_partition(file, pid);
+            c.invalidate_partition(&file, PartitionId(pid));
         }
         let f = self.files.entry(file).or_default();
         if f.partitions.len() <= pid as usize {

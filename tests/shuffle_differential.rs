@@ -1,21 +1,29 @@
-//! Differential tests for the shuffle data-path overhaul.
+//! Differential tests for the shuffle data path.
 //!
 //! The streaming merge, the map-side combiner and the sharded block
-//! stores are all *performance* changes; the contract is that none of
-//! them is observable in the output. Each test here runs the new path
-//! against its kept-alive oracle — the legacy collect-all-then-sort
-//! shuffle, the combiner-less job, the single-lock store — and demands
-//! byte-identical digests (and, where the accounting is deterministic,
+//! stores are all *performance* choices; the contract is that none of
+//! them is observable in the output. Each test here checks the shipped
+//! path against its oracle — the sort-all reference shuffle
+//! (`shuffle_for_reduce`) replayed over the same map outputs, the
+//! combiner-less job, the single-lock store — and demands identical
+//! groups and digests (and, where the accounting is deterministic,
 //! identical I/O numbers).
 //!
 //! The whole binary honours `RCMP_EXECUTOR`, so the CI executor matrix
-//! re-runs these differentials under the threaded, `async` and
-//! `async:2` backends.
+//! re-runs these differentials under the `async`, `async:1` and
+//! `async:10` backends.
 
 use proptest::prelude::*;
 use rcmp::core::{ChainDriver, Strategy};
-use rcmp::engine::{Cluster, JobRun, JobTracker, NoFailures, RandomizedInjector};
-use rcmp::model::{ByteSize, ClusterConfig, Error, ExecutorConfig, ShuffleConfig, SlotConfig};
+use rcmp::engine::shuffle::{shuffle_for_reduce, shuffle_for_reduce_streaming, MERGE_WIDTH};
+use rcmp::engine::{
+    Cluster, JobReport, JobRun, JobSpec, JobTracker, NoFailures, RandomizedInjector,
+};
+use rcmp::model::hash::hash_bytes;
+use rcmp::model::{
+    ByteSize, ClusterConfig, Error, ExecutorConfig, PartitionId, Record, RecordWriter,
+    ReduceTaskId, ShuffleConfig, SlotConfig,
+};
 use rcmp::obs::SnapshotValue;
 use rcmp::workloads::checksum::digest_file;
 use rcmp::workloads::{generate_input, AggBuilder, ChainBuilder, DataGenConfig};
@@ -34,39 +42,92 @@ fn cluster(seed: u64, shuffle: ShuffleConfig, executor: ExecutorConfig) -> Clust
     })
 }
 
-/// Runs one chain job and returns its report plus the output digest.
-fn chain_run(
-    seed: u64,
-    records: u64,
-    shuffle: ShuffleConfig,
-) -> (rcmp::engine::JobReport, rcmp::workloads::OutputDigest) {
-    let cl = cluster(seed, shuffle, ExecutorConfig::from_env_or_default());
+/// Runs `spec` once on a fresh cluster over `records` input records and
+/// returns the cluster (its map outputs persisted) and the job report.
+fn run_job(seed: u64, records: u64, spec: &JobSpec) -> (Cluster, JobReport) {
+    let cl = cluster(
+        seed,
+        ShuffleConfig::default(),
+        ExecutorConfig::from_env_or_default(),
+    );
     generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, records)).unwrap();
-    let chain = ChainBuilder::new(1, NODES * 2).build();
     let tracker = JobTracker::new(&cl, Arc::new(NoFailures));
-    let report = tracker.run(&JobRun::full(chain.job(1).clone()), 1).unwrap();
-    let digest = digest_file(cl.dfs(), chain.final_output(), cl.live_nodes()[0])
-        .unwrap()
-        .0;
-    (report, digest)
+    let report = tracker.run(&JobRun::full(spec.clone()), 1).unwrap();
+    (cl, report)
 }
 
-/// Runs the aggregation job, returning its report plus the digest.
+/// Digest of the records `spec`'s reducer emits over `groups`.
+fn reduced_digest(spec: &JobSpec, groups: &[(u64, Vec<bytes::Bytes>)]) -> u64 {
+    let mut out = RecordWriter::new();
+    for (key, values) in groups {
+        spec.reducer
+            .reduce(*key, values, &mut |rec: Record| out.push(&rec));
+    }
+    hash_bytes(&out.finish())
+}
+
+/// Replays every reduce task of a finished job through both shuffle
+/// paths over the map outputs the run persisted: the sort-all reference
+/// and the streaming merge the tracker runs. Groups, locality
+/// accounting and the reduced output's digest must agree per task, and
+/// the reference's shuffle bytes must add up to the job report's.
+fn assert_paths_agree(
+    cl: &Cluster,
+    spec: &JobSpec,
+    report: &JobReport,
+) -> Result<(), TestCaseError> {
+    let store = cl.map_outputs();
+    let keys = store.keys_for_job(spec.job);
+    prop_assert!(!keys.is_empty(), "the run persisted no map outputs");
+    let (mut local, mut remote) = (0, 0);
+    for p in 0..spec.num_reducers {
+        let task = ReduceTaskId {
+            job: spec.job,
+            partition: PartitionId(p),
+            split: None,
+        };
+        let node = cl.live_nodes()[p as usize % NODES as usize];
+        let reference = shuffle_for_reduce(store, &keys, task, node).unwrap();
+        let streamed = shuffle_for_reduce_streaming(store, &keys, task, node, MERGE_WIDTH).unwrap();
+        prop_assert_eq!(
+            &reference.groups,
+            &streamed.groups,
+            "groups of partition {}",
+            p
+        );
+        prop_assert_eq!(reference.local_bytes, streamed.local_bytes);
+        prop_assert_eq!(reference.remote_bytes, streamed.remote_bytes);
+        prop_assert_eq!(&reference.per_source, &streamed.per_source);
+        prop_assert_eq!(
+            reduced_digest(spec, &reference.groups),
+            reduced_digest(spec, &streamed.groups),
+            "reduced output of partition {}",
+            p
+        );
+        local += reference.local_bytes;
+        remote += reference.remote_bytes;
+    }
+    prop_assert_eq!(
+        local + remote,
+        report.io.shuffle_local + report.io.shuffle_remote,
+        "shuffle volume"
+    );
+    Ok(())
+}
+
+/// Runs the aggregation job, returning the cluster, the spec, the
+/// report and the output digest.
 fn agg_run(
     seed: u64,
     records: u64,
     combine: bool,
-    shuffle: ShuffleConfig,
-) -> (rcmp::engine::JobReport, rcmp::workloads::OutputDigest) {
-    let cl = cluster(seed, shuffle, ExecutorConfig::from_env_or_default());
-    generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, records)).unwrap();
+) -> (Cluster, JobSpec, JobReport, rcmp::workloads::OutputDigest) {
     let spec = AggBuilder::new(NODES * 2, 16).combine(combine).build();
-    let tracker = JobTracker::new(&cl, Arc::new(NoFailures));
-    let report = tracker.run(&JobRun::full(spec.clone()), 1).unwrap();
+    let (cl, report) = run_job(seed, records, &spec);
     let digest = digest_file(cl.dfs(), &spec.output, cl.live_nodes()[0])
         .unwrap()
         .0;
-    (report, digest)
+    (cl, spec, report, digest)
 }
 
 proptest! {
@@ -76,36 +137,35 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The streaming k-way merge against the legacy sort-all oracle:
-    /// same cluster seed, same input — byte-identical output digest,
-    /// identical schedule shape, identical I/O accounting (down to the
-    /// shuffle byte counts, which the merge path recomputes from the
-    /// bucket indexes).
+    /// The streaming k-way merge against the sort-all reference: one
+    /// chain job runs on the engine, then every reduce task's shuffle
+    /// is replayed through both paths over the same persisted map
+    /// outputs — identical groups, locality accounting and reduced
+    /// output, and shuffle bytes that add up to the job's report.
     #[test]
     fn streaming_merge_matches_legacy_oracle(
         seed in 1u64..100_000,
         records in 5_000u64..25_000,
     ) {
-        let (legacy, legacy_digest) = chain_run(seed, records, ShuffleConfig::legacy());
-        let (streaming, streaming_digest) = chain_run(seed, records, ShuffleConfig::default());
-        prop_assert_eq!(legacy_digest, streaming_digest, "output diverged at seed {}", seed);
-        prop_assert_eq!(legacy.io, streaming.io, "I/O accounting diverged at seed {}", seed);
-        prop_assert_eq!(legacy.map_waves, streaming.map_waves);
-        prop_assert_eq!(legacy.reduce_waves, streaming.reduce_waves);
+        let chain = ChainBuilder::new(1, NODES * 2).build();
+        let spec = chain.job(1);
+        let (cl, report) = run_job(seed, records, spec);
+        assert_paths_agree(&cl, spec, &report)?;
     }
 
     /// Combiner correctness: the aggregation job's output digest is
     /// byte-identical with the combiner on or off (its partial
     /// aggregates share the reducer's wire format and its merge is
     /// associative + commutative), while the shuffle moves strictly —
-    /// in fact drastically — fewer bytes.
+    /// in fact drastically — fewer bytes. The combined buckets also
+    /// shuffle identically through the sort-all reference.
     #[test]
     fn combiner_preserves_output_and_shrinks_shuffle(
         seed in 1u64..100_000,
         records in 40_000u64..100_000,
     ) {
-        let (raw, raw_digest) = agg_run(seed, records, false, ShuffleConfig::default());
-        let (combined, combined_digest) = agg_run(seed, records, true, ShuffleConfig::default());
+        let (_, _, raw, raw_digest) = agg_run(seed, records, false);
+        let (cl, spec, combined, combined_digest) = agg_run(seed, records, true);
         prop_assert_eq!(raw_digest, combined_digest, "combiner changed the output at seed {}", seed);
         let raw_shuffle = raw.io.shuffle_local + raw.io.shuffle_remote;
         let combined_shuffle = combined.io.shuffle_local + combined.io.shuffle_remote;
@@ -115,9 +175,7 @@ proptest! {
             combined_shuffle,
             raw_shuffle
         );
-        // And combining must also agree with the legacy oracle.
-        let (_, legacy_digest) = agg_run(seed, records, true, ShuffleConfig::legacy());
-        prop_assert_eq!(legacy_digest, combined_digest);
+        assert_paths_agree(&cl, &spec, &combined)?;
     }
 }
 
@@ -137,7 +195,6 @@ fn sharded_store_accounting_matches_single_lock_under_chaos() {
         for shards in [1u32, 8] {
             let shuffle = ShuffleConfig {
                 store_shards: shards,
-                ..ShuffleConfig::default()
             };
             let cl = cluster(17, shuffle, ExecutorConfig::async_workers(1));
             generate_input(cl.dfs(), &DataGenConfig::test("input", NODES, 10_000)).unwrap();

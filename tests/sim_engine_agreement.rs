@@ -192,22 +192,25 @@ fn recompute_fractions_agree() {
 }
 
 /// The simulator's chain cache evicts the same file as the engine's
-/// after a recompute. Every run first refreshes its input's recency
-/// (the engine's input pin), then commits its output with the input
-/// exempt from eviction. Budget 40 B, one 10 B partition per file:
-/// job `j` reads f(j-1) and writes fj on node `j` (j = 1..4), node 2
-/// dies, job 2 recomputes f2 on node 5, and job 5's commit of f5 must
-/// evict the least recently used file, f3, on both sides.
+/// after a recompute. Each side issues the calls its backend makes for
+/// one run: pin the input file, stage the output, commit it at job
+/// success, unpin. Budget 40 B, one 10 B partition per file: job `j`
+/// reads f(j-1) and writes fj on node `j` (j = 1..4), node 2 dies, job 2
+/// recomputes f2 on node 5, and job 5's commit of f5 must evict the
+/// least recently used file, f3, on both sides.
 #[test]
 fn chain_caches_evict_the_same_file_after_a_recompute() {
     use rcmp::dfs::ChainCache;
     use rcmp::model::{NodeId, PartitionId};
-    use rcmp::sim::SimChainCache;
+    use rcmp::obs::MetricsRegistry;
+    use rcmp::policy::ChainCacheBook;
 
     fn path(f: u32) -> String {
         format!("f{f}")
     }
-    fn run(engine: &ChainCache, sim: &mut SimChainCache, job: u32, node: u32) {
+    fn run(engine: &ChainCache, sim: &mut ChainCacheBook<u32, ()>, job: u32, node: u32) {
+        // `JobTracker::run`: the input pin spans the run; reducers stage
+        // on write; the job commits on success.
         let input = path(job - 1);
         engine.pin_file(&input);
         engine.stage(
@@ -219,25 +222,29 @@ fn chain_caches_evict_the_same_file_after_a_recompute() {
         engine.commit(&path(job));
         engine.unpin_file(&input);
 
-        sim.touch_file(job - 1);
-        sim.stage(job, 0, node, 10);
-        sim.commit(job, Some(job - 1));
+        // `JobSim::run`: the same pin, stage and commit over file ids.
+        sim.pin(&(job - 1));
+        sim.stage(&job, PartitionId(0), NodeId(node), 10, ());
+        sim.commit(&job);
+        sim.unpin(&(job - 1));
     }
 
-    let engine = ChainCache::new(ByteSize::bytes(40));
-    let mut sim = SimChainCache::new(40);
+    let engine = ChainCache::new(ByteSize::bytes(40), &MetricsRegistry::new());
+    let mut sim = ChainCacheBook::new(40);
     for j in 1..=4 {
         run(&engine, &mut sim, j, j);
     }
     engine.invalidate_node(NodeId(2));
-    sim.invalidate_node(2);
+    sim.invalidate_node(NodeId(2));
     run(&engine, &mut sim, 2, 5);
     run(&engine, &mut sim, 5, 5);
 
     let engine_kept: Vec<bool> = (1..=5)
         .map(|f| engine.holder(&path(f), PartitionId(0)).is_some())
         .collect();
-    let sim_kept: Vec<bool> = (1..=5).map(|f| sim.holder(f, 0).is_some()).collect();
+    let sim_kept: Vec<bool> = (1..=5)
+        .map(|f| sim.holder(&f, PartitionId(0)).is_some())
+        .collect();
     assert_eq!(engine_kept, vec![true, true, false, true, true]);
     assert_eq!(sim_kept, engine_kept);
 }
